@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -49,8 +48,18 @@ def load_all_fixtures(directory: Path) -> dict[str, CaseFixture]:
 
 
 def case_fixtures(fixtures: dict[str, CaseFixture]) -> dict[str, CaseFixture]:
-    return {f.model.profile.key: f for f in fixtures.values()
-            if f.script is not None and f.witness is not None}
+    """Case fixtures keyed by profile; two fixtures of one profile are an error."""
+    cases: dict[str, CaseFixture] = {}
+    names: dict[str, str] = {}
+    for name, f in fixtures.items():
+        if f.script is None or f.witness is None:
+            continue
+        key = f.model.profile.key
+        if key in names:
+            raise ParseError(f"fixtures {names[key]!r} and {name!r} both declare "
+                             f"profile {key}")
+        cases[key], names[key] = f, name
+    return cases
 
 
 def _resolve_fixture(token: str, directory: Path) -> CaseFixture:
@@ -118,21 +127,27 @@ def _print_case_text(result: engine.CaseResult) -> None:
     print(f"  verified: {result.verified}")
 
 
+def _report_findings(fixture: CaseFixture) -> bool:
+    """Print the fixture's validation findings; True when there are any."""
+    findings = validate_fixture(fixture)
+    for f in findings:
+        print(f"invalid fixture: {f}", file=sys.stderr)
+    return bool(findings)
+
+
 def cmd_table(args) -> int:
     t0 = time.monotonic()
     fixtures = case_fixtures(load_all_fixtures(fixture_dir(args.fixtures)))
-
-    def run(item):
-        key, fixture = item
-        return key, engine.compute_case_threshold(fixture)
-
     items = sorted(fixtures.items())
-    if args.parallel:
-        with ThreadPoolExecutor() as pool:
-            results = dict(pool.map(run, items))
-    else:
-        results = dict(map(run, items))
-    table = engine.assemble_table(results, ADMISSIBLE_PROFILES)
+    invalid = [key for key, fixture in items if _report_findings(fixture)]
+    if invalid:
+        return EXIT_USAGE
+    results = {key: engine.compute_case_threshold(fixture) for key, fixture in items}
+    try:
+        table = engine.assemble_table(results, ADMISSIBLE_PROFILES)
+    except engine.Inconsistent as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_FAILED
     elapsed_ms = int((time.monotonic() - t0) * 1000)
 
     if args.json:
@@ -163,10 +178,7 @@ def cmd_case(args) -> int:
         print(f"fixture {fixture.name!r} has no case script; try "
               f"`cubiclct {kind} {fixture.name}`", file=sys.stderr)
         return EXIT_USAGE
-    findings = validate_fixture(fixture)
-    if findings:
-        for f in findings:
-            print(f"invalid fixture: {f}", file=sys.stderr)
+    if _report_findings(fixture):
         return EXIT_USAGE
     result = engine.compute_case_threshold(fixture)
     if args.json:
@@ -243,12 +255,15 @@ def cmd_fiberwise(args) -> int:
     payload: dict = {"lct_pair": [format_rat(v) for v in data.lct_pair]}
     ok = True
     if data.source_poly is not None:
-        source = fw.Poly.from_terms([(c, e) for c, e in data.source_poly])
-        target = fw.Poly.from_terms([(c, e) for c, e in data.target_poly])
+        source = fw.Poly.from_terms(data.source_poly)
+        target = fw.Poly.from_terms(data.target_poly)
         mapping = fw.SubstitutionMap.from_dict(dict(data.map_powers))
-        k = fw.substitute_and_factor(target, mapping, source)
+        try:
+            k = fw.substitute_and_factor(target, mapping, source)
+        except fw.NoFactorization:
+            k = None   # the substitution identity fails: a verification failure
         payload["k"] = k
-        ok = ok and (data.expected_k is None or k == data.expected_k)
+        ok = k is not None and (data.expected_k is None or k == data.expected_k)
     verdict = fw.biregularity_criterion(data.lct_pair[0], data.lct_pair[1],
                                         data.log_terminal[0], data.log_terminal[1])
     payload["verdict"] = verdict.verdict
@@ -270,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="classification table with verification status")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--parallel", action="store_true",
-                   help="verify independent cases concurrently")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("case", help="full case result with certificates")

@@ -18,10 +18,12 @@ is linear it is checked as a small exclusion system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from fractions import Fraction as Rat
 
-from cubiclct.lattice import ResolutionLattice, tower_log_discrepancy
+from cubiclct.lattice import (ResolutionLattice, pullback_coefficients,
+                              tower_log_discrepancy)
 from cubiclct.linsys import (Feasible, Infeasible, InfeasibilityCertificate,
                              LinearSystem, Row, check_feasibility)
 from cubiclct.model import (Alternative, Branch, CaseFixture, ProofScript,
@@ -62,7 +64,6 @@ def witness_lct_upper(model: SurfaceModel, witness: Witness) -> UpperBound:
         if mult > 0:
             ratios.append((f"strict({cid})", Rat(1) / mult))
 
-    from cubiclct.lattice import pullback_coefficients
     ord_by_node: dict[str, Rat] = {}
     for pid, lattice in model.points:
         ords = [Rat(0)] * lattice.rank
@@ -89,10 +90,9 @@ def witness_lct_upper(model: SurfaceModel, witness: Witness) -> UpperBound:
             pid = point_of[step.name]
             excs = tuple(e if ":" in e or e in point_of else f"{pid}:{e}"
                          for e in step.exceptionals)
-            steps.append(type(step)(step.name, step.strict_curves, excs))
-        from cubiclct.lattice import BlowupTower
-        results = tower_log_discrepancy(BlowupTower(tuple(steps)), strict_mults,
-                                        ord_by_node)
+            steps.append(replace(step, exceptionals=excs))
+        results = tower_log_discrepancy(replace(witness.tower, steps=tuple(steps)),
+                                        strict_mults, ord_by_node)
         for name, a_f, ord_f in results:
             if ord_f > 0:
                 ratios.append((f"tower:{name}", (1 + a_f) / ord_f))
@@ -149,7 +149,8 @@ def _tau_row(script: ProofScript) -> ScriptRow:
 def generate_case_tree(lattice: ResolutionLattice, script: ProofScript) -> tuple[Branch, ...]:
     """Adjunction case split for one A_n chain: one branch per interior
     segment (``Cartan_j . a > tau``) and one per double point
-    (``Cartan_j . a > tau - a_{j+1}`` and ``Cartan_{j+1} . a > tau - a_j``).
+    (``Cartan_j . a > tau - a_{j+1}`` and ``Cartan_{j+1} . a > tau - a_j``),
+    in chain order: E1 interior, E1^E2, E2 interior, ...
     """
     if lattice.ade.family != "A":
         raise UnsupportedProfile(f"case generation needs an A_n chain, got {lattice.ade}")
@@ -177,7 +178,6 @@ def generate_case_tree(lattice: ResolutionLattice, script: ProofScript) -> tuple
 
     branches = []
     for j in range(1, n + 1):
-        neighbors = " and ".join(avar(i) for i in (j - 1, j + 1) if 1 <= i <= n)
         text = f"cartan({j}).a > tau"
         branches.append(Branch(
             f"Q in E{j} interior",
@@ -188,14 +188,7 @@ def generate_case_tree(lattice: ResolutionLattice, script: ProofScript) -> tuple
             r2 = mk(f"adjunction on E{j+1} at E{j}^E{j+1}", j + 1,
                     {avar(j): Rat(1)}, f"cartan({j+1}).a > tau - a{j}")
             branches.append(Branch(f"Q = E{j} meet E{j+1}", (r1, r2)))
-
-    # chain order: E1 interior, E1^E2, E2 interior, ...
-    ordered = []
-    for j in range(1, n + 1):
-        ordered.append(branches[2 * (j - 1)])
-        if j < n:
-            ordered.append(branches[2 * (j - 1) + 1])
-    return tuple(ordered)
+    return tuple(branches)
 
 
 def materialize_leaves(fixture: CaseFixture) -> list[Leaf]:
@@ -283,37 +276,25 @@ def compute_case_threshold(fixture: CaseFixture) -> CaseResult:
     return CaseResult(fixture.model.profile, upper.value, upper, lower, expected, verified)
 
 
-#: Classification clauses, applied in listed order.
-def classify_profile(profile: SingularityProfile) -> tuple[str, Rat]:
-    key = profile.key
-    entries = profile.entries
-    if key == "A1":
-        return ("Sigma = {A1}", Rat(2, 3))
-    if "A4" in entries:
-        return ("Sigma contains A4", Rat(1, 3))
-    if key == "D4":
-        return ("Sigma = {D4}", Rat(1, 3))
-    if profile.count("A2") >= 2:
-        return ("Sigma contains A2+A2", Rat(1, 3))
-    if "A5" in entries:
-        return ("Sigma contains A5", Rat(1, 4))
-    if key == "D5":
-        return ("Sigma = {D5}", Rat(1, 4))
-    if key == "E6":
-        return ("Sigma = {E6}", Rat(1, 6))
-    return ("other cases", Rat(1, 2))
-
-
-TABLE_CLAUSES: tuple[tuple[str, Rat], ...] = (
-    ("Sigma = {A1}", Rat(2, 3)),
-    ("Sigma contains A4", Rat(1, 3)),
-    ("Sigma = {D4}", Rat(1, 3)),
-    ("Sigma contains A2+A2", Rat(1, 3)),
-    ("Sigma contains A5", Rat(1, 4)),
-    ("Sigma = {D5}", Rat(1, 4)),
-    ("Sigma = {E6}", Rat(1, 6)),
-    ("other cases", Rat(1, 2)),
+#: Classification clauses, applied in listed order: the first whose
+#: predicate holds gives the threshold.
+_CLAUSES: tuple[tuple[str, Rat, Callable[[SingularityProfile], bool]], ...] = (
+    ("Sigma = {A1}", Rat(2, 3), lambda p: p.key == "A1"),
+    ("Sigma contains A4", Rat(1, 3), lambda p: "A4" in p.entries),
+    ("Sigma = {D4}", Rat(1, 3), lambda p: p.key == "D4"),
+    ("Sigma contains A2+A2", Rat(1, 3), lambda p: p.count("A2") >= 2),
+    ("Sigma contains A5", Rat(1, 4), lambda p: "A5" in p.entries),
+    ("Sigma = {D5}", Rat(1, 4), lambda p: p.key == "D5"),
+    ("Sigma = {E6}", Rat(1, 6), lambda p: p.key == "E6"),
+    ("other cases", Rat(1, 2), lambda p: True),
 )
+
+TABLE_CLAUSES: tuple[tuple[str, Rat], ...] = tuple((c, omega) for c, omega, _ in _CLAUSES)
+
+
+def classify_profile(profile: SingularityProfile) -> tuple[str, Rat]:
+    """The first classification clause that ``profile`` satisfies."""
+    return next((c, omega) for c, omega, holds in _CLAUSES if holds(profile))
 
 
 @dataclass(frozen=True)
@@ -428,8 +409,7 @@ def mutation_audit(fixture: CaseFixture) -> list[MutationRecord]:
             for row in leaf.rows:
                 if id(row) in seen or row.note == "closure tau >= 1/omega":
                     continue
-                if not any(row is r for _, r in _authored_rows(fixture)):
-                    seen.add(id(row))
-                    records.append(MutationRecord(f"generated:{leaf.name}", row.text,
-                                                  False, False, flips_without(row)))
+                seen.add(id(row))
+                records.append(MutationRecord(f"generated:{leaf.name}", row.text,
+                                              False, False, flips_without(row)))
     return records

@@ -31,9 +31,6 @@ class EliminationFails(ValueError):
     """An invariant curve of degree < 3 survives; names the candidate."""
 
 
-Perm = tuple[tuple[str, str], ...]
-
-
 def _as_perm(mapping: dict[str, str], domain: list[str], name: str) -> dict[str, str]:
     if set(mapping) != set(domain) or set(mapping.values()) != set(domain):
         raise NotAPermutation(f"generator {name} is not a permutation of {sorted(domain)}")

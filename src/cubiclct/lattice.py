@@ -109,19 +109,6 @@ class ResolutionLattice:
     def cartan(self) -> QMatrix:
         return cartan_matrix(self.ade)
 
-    def adjacency(self) -> QMatrix:
-        n = self.rank
-        rows = [[0] * n for _ in range(n)]
-        for i, j in self.ade.edges():
-            rows[i][j] = rows[j][i] = 1
-        return QMatrix.from_rows(rows)
-
-    def node_index(self, name: str) -> int:
-        try:
-            return self.nodes.index(name)
-        except ValueError:
-            raise KeyError(f"no exceptional curve named {name!r}") from None
-
 
 @dataclass(frozen=True)
 class PullbackVector:

@@ -14,9 +14,8 @@ over an exact simplex here: certificates fall out of the trace for free.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction as Rat
 
 from cubiclct.qexact import format_rat, parse_rat
@@ -81,10 +80,6 @@ class LinearSystem:
 
     def with_row(self, row: Row) -> "LinearSystem":
         return LinearSystem(self.variables, self.rows + (row,))
-
-    def without_row(self, index: int) -> "LinearSystem":
-        rows = self.rows[:index] + self.rows[index + 1:]
-        return LinearSystem(self.variables, rows)
 
     def var_index(self, name: str) -> int:
         try:
@@ -415,11 +410,3 @@ def replay_certificate(sys: LinearSystem, cert: InfeasibilityCertificate) -> boo
     if constant > 0:
         return True
     return strict_used and constant >= 0
-
-
-def system_to_json_str(sys: LinearSystem) -> str:
-    return json.dumps(sys.to_json(), indent=2)
-
-
-def certificate_to_json_str(cert: InfeasibilityCertificate) -> str:
-    return json.dumps(cert.to_json(), indent=2)

@@ -438,11 +438,15 @@ def load_fixture(text: str, name: str = "<fixture>") -> CaseFixture:
     if "fiberwise" in doc and doc["fiberwise"] is not None:
         fspec = doc["fiberwise"]
         lct_pair = tuple(parse_rat(v) for v in _req(fspec, "lct_pair", "fiberwise"))
+        given = [k for k in ("source_poly", "target_poly", "map") if fspec.get(k) is not None]
+        if len(given) in (1, 2):
+            raise ParseError("fiberwise: source_poly, target_poly and map go together; "
+                             f"only {', '.join(given)} given")
         mp = fspec.get("map")
         fiberwise = FiberwiseData(
             _parse_poly(fspec.get("source_poly"), "fiberwise.source_poly"),
             _parse_poly(fspec.get("target_poly"), "fiberwise.target_poly"),
-            tuple(mp.items()) if mp else None,
+            tuple(mp.items()) if mp is not None else None,
             fspec.get("expected_k"),
             lct_pair,
             tuple(bool(b) for b in _req(fspec, "log_terminal", "fiberwise")),
@@ -567,11 +571,13 @@ def serialize_fixture(fixture: CaseFixture) -> str:
 
 
 def _pullback_cache(model: SurfaceModel):
+    # Malformed incidence vectors are left out: validate_fixture reports them,
+    # and the intersection audit skips them instead of failing on them.
     cache: dict[tuple[str, str], tuple[Rat, ...]] = {}
     for pid, lat in model.points:
         for c in model.curves:
             vec = c.incidence_at(pid)
-            if vec is not None:
+            if vec is not None and len(vec) == lat.rank and all(v >= 0 for v in vec):
                 cache[(c.id, pid)] = pullback_coefficients(lat, list(vec), c.id).coefficients
     return cache
 
@@ -597,10 +603,10 @@ def intersection_number(model: SurfaceModel, a: NamedCurve, b: NamedCurve,
             strict = Rat(0)
     total = strict
     for pid, _ in model.points:
-        inc_b = b.incidence_at(pid)
         key = (a.id, pid)
-        if inc_b is None or key not in cache:
+        if key not in cache or (b.id, pid) not in cache:
             continue
+        inc_b = b.incidence_at(pid)
         coeffs = cache[key]
         total += sum((coeffs[i] * inc_b[i] for i in range(len(inc_b))), Rat(0))
     return total

@@ -77,10 +77,6 @@ class QMatrix:
     def row(self, i: int) -> tuple[Rat, ...]:
         return self.entries[i]
 
-    def transpose(self) -> "QMatrix":
-        return QMatrix.from_rows([[self.entries[i][j] for i in range(self.rows)]
-                                  for j in range(self.cols)])
-
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
             self.entries[i][j] == self.entries[j][i]
@@ -105,17 +101,19 @@ def _integerize_rows(rows: list[list[Rat]]) -> list[list[int]]:
     return out
 
 
-def _bareiss_triangularize(aug: list[list[int]]) -> tuple[list[list[int]], int]:
+def _bareiss_triangularize(aug: list[list[int]]) -> tuple[list[list[int]], int, int]:
     """Fraction-free elimination on an n x m integer matrix (in place copy).
 
-    Returns the triangularized matrix and the number of pivots found.
-    Intermediate entries are exact subdeterminants, so divisions are exact.
+    Returns the triangularized matrix, the number of pivots found and the
+    sign of the row permutation applied.  Intermediate entries are exact
+    subdeterminants, so divisions are exact.
     """
     n = len(aug)
     m = len(aug[0]) if n else 0
     aug = [row[:] for row in aug]
     prev_pivot = 1
     piv = 0
+    sign = 1
     for col in range(min(n, m)):
         if piv >= n:
             break
@@ -124,6 +122,7 @@ def _bareiss_triangularize(aug: list[list[int]]) -> tuple[list[list[int]], int]:
             continue
         if pivot_row != piv:
             aug[piv], aug[pivot_row] = aug[pivot_row], aug[piv]
+            sign = -sign
         p = aug[piv][col]
         for r in range(piv + 1, n):
             factor = aug[r][col]
@@ -131,7 +130,7 @@ def _bareiss_triangularize(aug: list[list[int]]) -> tuple[list[list[int]], int]:
                 aug[r][c] = (p * aug[r][c] - factor * aug[piv][c]) // prev_pivot
         prev_pivot = p
         piv += 1
-    return aug, piv
+    return aug, piv, sign
 
 
 def determinant(a: QMatrix) -> Rat:
@@ -141,30 +140,12 @@ def determinant(a: QMatrix) -> Rat:
     n = a.rows
     if n == 0:
         return Rat(1)
-    scale = Rat(1)
-    int_rows = []
-    for row in a.entries:
-        mult = math.lcm(*(x.denominator for x in row))
-        scale *= mult
-        int_rows.append([int(x * mult) for x in row])
-    # Track sign of the row swaps performed by triangularization.
-    sign = 1
-    mat = [row[:] for row in int_rows]
-    prev_pivot = 1
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot_row is None:
-            return Rat(0)
-        if pivot_row != col:
-            mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
-            sign = -sign
-        p = mat[col][col]
-        for r in range(col + 1, n):
-            factor = mat[r][col]
-            for c in range(n):
-                mat[r][c] = (p * mat[r][c] - factor * mat[col][c]) // prev_pivot
-        prev_pivot = p
-    return Rat(sign * mat[n - 1][n - 1]) / scale
+    tri, piv, sign = _bareiss_triangularize(_integerize_rows(list(a.entries)))
+    if piv < n:
+        return Rat(0)
+    # Integerizing scaled each row, and so the determinant, by that row's lcm.
+    scale = math.prod(math.lcm(*(x.denominator for x in row)) for row in a.entries)
+    return Rat(sign * tri[n - 1][n - 1], scale)
 
 
 def solve_linear_system(a: QMatrix, b: list[Rat | int]) -> list[Rat]:
@@ -180,7 +161,7 @@ def solve_linear_system(a: QMatrix, b: list[Rat | int]) -> list[Rat]:
         raise ValueError("right-hand side has wrong length")
     aug = [list(a.entries[i]) + [Rat(b[i])] for i in range(n)]
     int_aug = _integerize_rows(aug)
-    tri, piv = _bareiss_triangularize(int_aug)
+    tri, piv, _ = _bareiss_triangularize(int_aug)
     if piv < n or tri[n - 1][n - 1] == 0:
         raise SingularMatrix("zero pivot column during elimination")
     x: list[Rat] = [Rat(0)] * n

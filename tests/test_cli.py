@@ -27,12 +27,66 @@ def test_table_text_and_json_agree(capsys):
         assert f'{row["profile"]:<12} omega = {row["omega"]:>4}  [{row["status"]}]' in text
 
 
-def test_table_parallel_matches_serial(capsys):
-    _, serial, _ = run(capsys, "table", "--json")
-    _, parallel, _ = run(capsys, "table", "--json", "--parallel")
-    a, b = json.loads(serial), json.loads(parallel)
-    a.pop("elapsed_ms"), b.pop("elapsed_ms")
-    assert a == b
+def test_table_parallel_is_usage_error(capsys):
+    code, _, _ = run(capsys, "table", "--parallel")
+    assert code == 2
+
+
+def _fixture_copy(tmp_path, name, old="", new="", as_name=None):
+    from cubiclct.cli import fixture_dir
+    text = Path(str(fixture_dir() / f"{name}.yaml")).read_text()
+    assert old in text
+    (tmp_path / f"{as_name or name}.yaml").write_text(text.replace(old, new))
+
+
+def test_table_validates_like_case(capsys, tmp_path):
+    # L2 attached to the wrong end node of the A3 chain
+    _fixture_copy(tmp_path, "a3", "{id: L2, kind: line, incidence: {O: [1, 0, 0]}}",
+                  "{id: L2, kind: line, incidence: {O: [0, 0, 1]}}")
+    code, out, table_err = run(capsys, "--fixtures", str(tmp_path), "table")
+    assert code == 2
+    assert out == ""
+    code, _, case_err = run(capsys, "--fixtures", str(tmp_path), "case", "A3")
+    assert code == 2
+    assert table_err == case_err
+    assert table_err.count("invalid fixture: ") == 2
+    assert table_err.count("-K.L") == 2
+
+
+def test_duplicate_profile_is_parse_error(capsys, tmp_path):
+    _fixture_copy(tmp_path, "a5")
+    _fixture_copy(tmp_path, "a5", as_name="a5copy")
+    code, _, err = run(capsys, "--fixtures", str(tmp_path), "table")
+    assert code == 2
+    assert "'a5'" in err and "'a5copy'" in err
+
+
+def test_fiberwise_identity_needs_all_three_fields(capsys, tmp_path):
+    _fixture_copy(tmp_path, "fiber_e6", "  target_poly:", "  unused_poly:")
+    code, _, err = run(capsys, "--fixtures", str(tmp_path), "fiberwise", "fiber_e6")
+    assert code == 2
+    assert "fiberwise: source_poly, target_poly and map go together" in err
+    assert "Traceback" not in err
+
+
+def test_fiberwise_failed_identity_exits_one(capsys, tmp_path):
+    _fixture_copy(tmp_path, "fiber_e6", "map: {x: 2, y: 3, z: 0, w: 6}",
+                  "map: {x: 2, y: 3, z: 0, w: 5}")
+    code, payload, _ = run(capsys, "--fixtures", str(tmp_path),
+                           "fiberwise", "fiber_e6", "--json")
+    assert code == 1
+    data = json.loads(payload)
+    assert data["k"] is None
+    assert data["verified"] is False
+
+
+def test_inconsistent_table_exits_one(capsys, tmp_path):
+    # a verified omega of 2/3 filed under A2, whose clause gives 1/2
+    _fixture_copy(tmp_path, "a1", "profile: [A1]", "profile: [A2]")
+    code, out, err = run(capsys, "--fixtures", str(tmp_path), "table")
+    assert code == 1
+    assert out == ""
+    assert "differs from clause value 1/2" in err
 
 
 def test_case_a5_json(capsys):

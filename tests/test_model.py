@@ -1,9 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction as Rat
 from pathlib import Path
 
 import pytest
 
-from cubiclct.cli import fixture_dir, load_all_fixtures
+from cubiclct.cli import case_fixtures, fixture_dir, load_all_fixtures
+from cubiclct.engine import witness_lct_upper
 from cubiclct.model import (ADMISSIBLE_PROFILES, DanglingReference, ParseError,
                             SingularityProfile, intersection_number, load_fixture,
                             profile_key, serialize_fixture, validate_fixture)
@@ -106,6 +108,58 @@ equivalences:
 """
     findings = validate_fixture(load_fixture(doc))
     assert any("-K.L3" in f for f in findings)
+
+
+def test_wrong_length_incidence_is_a_finding_not_an_error():
+    doc = """
+profile: [A5]
+points:
+  O: {type: A5}
+curves:
+  - {id: L3, kind: line, incidence: {O: [0, 0, 1, 0]}}
+equivalences:
+  - [["3", L3]]
+"""
+    findings = validate_fixture(load_fixture(doc))
+    assert "curve L3: incidence at O has wrong length" in findings
+
+
+def _mutants(fixture):
+    """Each incidence entry and each witness multiplicity moved by +1 and -1."""
+    model = fixture.model
+    for ci, curve in enumerate(model.curves):
+        for pi, (pid, vec) in enumerate(curve.incidence):
+            for i in range(len(vec)):
+                for d in (1, -1):
+                    inc = list(curve.incidence)
+                    inc[pi] = (pid, vec[:i] + (vec[i] + d,) + vec[i + 1:])
+                    curves = list(model.curves)
+                    curves[ci] = replace(curve, incidence=tuple(inc))
+                    yield (f"{curve.id}@{pid}[{i}]{d:+d}",
+                           replace(fixture, model=replace(model, curves=tuple(curves))))
+    boundary = fixture.witness.boundary
+    for j, (m, cid) in enumerate(boundary.terms):
+        for d in (1, -1):
+            terms = list(boundary.terms)
+            terms[j] = (m + d, cid)
+            witness = replace(fixture.witness, boundary=replace(boundary, terms=tuple(terms)))
+            yield f"witness {cid}{d:+d}", replace(fixture, witness=witness)
+
+
+def test_mutated_case_fixtures_are_flagged_without_raising():
+    total, misses = 0, []
+    for key, fixture in sorted(case_fixtures(FIXTURES).items()):
+        bound = witness_lct_upper(fixture.model, fixture.witness).value
+        for label, mutant in _mutants(fixture):
+            total += 1
+            if validate_fixture(mutant):
+                continue
+            if witness_lct_upper(mutant.model, mutant.witness).value == bound:
+                misses.append(f"{key} {label}")
+    assert total == 448
+    # The misses are curves in no declared equivalence and not in the
+    # witness (A3 L4/L5, A4+A1 L1, A5 L2); nothing checks their incidences.
+    assert total - len(misses) >= 427, misses
 
 
 def test_intersection_numbers_match_hand_values():
