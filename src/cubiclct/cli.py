@@ -2,8 +2,9 @@
 
 Subcommands: ``table``, ``case``, ``pullback``, ``certify``, ``replay``,
 ``equivariant``, ``fiberwise``.  Exit codes: 0 all verified, 1 a
-verification failed (the feasible witness point is printed), 2 input or
-usage error.  All rationals print as ``p/q``, never as decimals.
+verification failed (the feasible witness point is printed, or the FM
+kernel's own witness or certificate check failed), 2 input or usage error.
+All rationals print as ``p/q``, never as decimals.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from cubiclct import engine, equivariant, fiberwise as fw
 from cubiclct.lattice import pullback_coefficients
-from cubiclct.linsys import (InfeasibilityCertificate, LinearSystem,
+from cubiclct.linsys import (InfeasibilityCertificate, LinearSystem, SelfCheckFailed,
                              check_feasibility, Infeasible, replay_certificate)
 from cubiclct.model import (ADMISSIBLE_PROFILES, CaseFixture, ParseError,
                             load_fixture, profile_key, validate_fixture)
@@ -131,7 +132,7 @@ def _report_findings(fixture: CaseFixture) -> bool:
     """Print the fixture's validation findings; True when there are any."""
     findings = validate_fixture(fixture)
     for f in findings:
-        print(f"invalid fixture: {f}", file=sys.stderr)
+        print(f"invalid fixture: {fixture.name}: {f}", file=sys.stderr)
     return bool(findings)
 
 
@@ -327,6 +328,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except SelfCheckFailed as exc:
+        print(f"verification failed: self-check: {exc}", file=sys.stderr)
+        return EXIT_FAILED
     except (ParseError, FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

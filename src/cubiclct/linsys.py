@@ -1,12 +1,29 @@
 """Exact feasibility of strict/non-strict rational linear inequality systems.
 
 A row states ``sum(coeffs[i] * x[i])  REL  constant`` with REL one of
-``>=`` or ``>``.  Feasibility is decided by Fourier-Motzkin elimination;
-the elimination trace doubles as a Farkas-style refutation, so every
-``Infeasible`` verdict comes with nonnegative multipliers that combine the
-input rows into ``0 >= c`` with ``c > 0``, or into ``0 > c`` with
-``c >= 0`` and a strict row weighted positively.  ``replay_certificate``
-re-checks such a combination from scratch.
+``>=`` or ``>``.  Feasibility is decided by Fourier-Motzkin elimination
+over the integers:
+
+- every input row is scaled to a primitive integer row (times the lcm of
+  its denominators, divided by the gcd of its entries, constant included);
+  each combination step multiplies the pair by ``b/g`` and ``a/g`` with
+  ``g = gcd(a, b)`` and divides the result by its content, so no
+  ``Fraction`` is built inside the elimination loop;
+- after each step one dict keyed by the coefficient direction keeps only
+  the tightest row per direction, which collapses the duplicates that make
+  FM blow up;
+- every derived row stores parent pointers ``(parent_a, mult_a, parent_b,
+  mult_b, divisor)`` instead of its own lineage.
+
+The elimination trace doubles as a Farkas-style refutation (Dantzig and
+Eaves, "Fourier-Motzkin elimination and its dual", JCT A 14, 1973): only for
+the one violated row are the parent pointers walked back to nonnegative
+rational multipliers that combine the input rows into ``0 >= c`` with
+``c > 0``, or into ``0 > c`` with ``c >= 0`` and a strict row weighted
+positively.  ``replay_certificate`` re-checks such a combination from
+scratch, and ``check_feasibility`` runs that replay, or evaluates its
+witness against every input row, before it returns; a failure raises
+``SelfCheckFailed``.
 
 Systems are tiny (at most ~8 variables), which is why Fourier-Motzkin wins
 over an exact simplex here: certificates fall out of the trace for free.
@@ -15,8 +32,9 @@ over an exact simplex here: certificates fall out of the trace for free.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Rat
+from math import gcd
 
 from cubiclct.qexact import format_rat, parse_rat
 
@@ -27,6 +45,10 @@ class UnknownVariable(KeyError):
 
 class DimensionMismatch(ValueError):
     pass
+
+
+class SelfCheckFailed(RuntimeError):
+    """check_feasibility produced a witness or certificate that does not check."""
 
 
 @dataclass(frozen=True)
@@ -225,74 +247,30 @@ def parse_row(expr: str, variables: tuple[str, ...], provenance: str = "") -> Ro
 
 # --- Fourier-Motzkin --------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Traced:
-    row: Row
-    lineage: dict[int, Rat] = field(default_factory=dict)  # original index -> multiplier
+# A kernel row is (coeffs, constant, strict, node): primitive integers, with
+# ``node`` indexing the parent-pointer table of check_feasibility.
+_IntRow = tuple[tuple[int, ...], int, bool, int]
 
 
-def _combine(a: _Traced, b: _Traced, ma: Rat, mb: Rat, provenance: str) -> _Traced:
-    coeffs = tuple(ma * x + mb * y for x, y in zip(a.row.coeffs, b.row.coeffs))
-    constant = ma * a.row.constant + mb * b.row.constant
-    rel = ">" if ">" in (a.row.relation, b.row.relation) else ">="
-    lineage: dict[int, Rat] = {}
-    for src, mult in ((a, ma), (b, mb)):
-        for idx, m in src.lineage.items():
-            lineage[idx] = lineage.get(idx, Rat(0)) + mult * m
-    return _Traced(Row(coeffs, constant, rel, provenance), lineage)
+def _dedup(rows: list[_IntRow]) -> list[_IntRow]:
+    """Keep the tightest row per coefficient direction; verdict is unaffected.
 
-
-def _implies(r1: Row, r2: Row) -> bool:
-    """True when r1 makes r2 redundant (same coefficient vector)."""
-    if r1.coeffs != r2.coeffs:
-        return False
-    if r1.constant > r2.constant:
-        return True
-    if r1.constant == r2.constant:
-        return not (r1.relation == ">=" and r2.relation == ">")
-    return False
-
-
-def _prune(rows: list[_Traced]) -> list[_Traced]:
-    """Drop rows implied by a single other row; verdict is unaffected."""
-    kept: list[_Traced] = []
-    for cand in rows:
-        dominated = any(_implies(k.row, cand.row) for k in kept)
-        if dominated:
-            continue
-        kept = [k for k in kept if not _implies(cand.row, k.row)]
-        kept.append(cand)
-    return kept
-
-
-def fourier_motzkin_eliminate(sys: LinearSystem, var: str) -> LinearSystem:
-    """Eliminate one variable, returning an equisatisfiable system.
-
-    Provenance of each combined row records the parent row indices and the
-    multipliers used, which is enough to reconstruct certificates.
+    ``g*key . x >= c`` reads ``key . x >= c/g``, so of two rows on one key
+    the one with the larger ``c/g`` implies the other; on a tie the strict
+    row implies the non-strict one.
     """
-    idx = sys.var_index(var)
-    pos = [(i, r) for i, r in enumerate(sys.rows) if r.coeffs[idx] > 0]
-    neg = [(i, r) for i, r in enumerate(sys.rows) if r.coeffs[idx] < 0]
-    zero = [(i, r) for i, r in enumerate(sys.rows) if r.coeffs[idx] == 0]
-
-    new_vars = sys.variables[:idx] + sys.variables[idx + 1:]
-
-    def strip(row: Row, provenance: str) -> Row:
-        coeffs = row.coeffs[:idx] + row.coeffs[idx + 1:]
-        return Row(coeffs, row.constant, row.relation, provenance)
-
-    new_rows = [strip(r, r.provenance) for _, r in zero]
-    for i, p in pos:
-        mi = 1 / p.coeffs[idx]
-        for j, n in neg:
-            mj = -1 / n.coeffs[idx]
-            coeffs = tuple(mi * x + mj * y for x, y in zip(p.coeffs, n.coeffs))
-            constant = mi * p.constant + mj * n.constant
-            rel = ">" if ">" in (p.relation, n.relation) else ">="
-            prov = f"fm({var}): {format_rat(mi)}*row{i} + {format_rat(mj)}*row{j}"
-            new_rows.append(strip(Row(coeffs, constant, rel), prov))
-    return LinearSystem(new_vars, tuple(new_rows))
+    best: dict[tuple[int, ...], tuple[_IntRow, int]] = {}
+    for row in rows:
+        g = gcd(*row[0])
+        key = tuple(c // g for c in row[0])
+        held = best.get(key)
+        if held is not None:
+            (_, held_const, held_strict, _), held_g = held
+            mine, theirs = row[1] * held_g, held_const * g
+            if mine < theirs or (mine == theirs and (held_strict or not row[2])):
+                continue
+        best[key] = (row, g)
+    return [row for row, _ in best.values()]
 
 
 def check_feasibility(sys: LinearSystem, *, prune: bool = True,
@@ -301,32 +279,38 @@ def check_feasibility(sys: LinearSystem, *, prune: bool = True,
 
     ``order`` pins the elimination order (used by the order-independence
     tests); by default the variable minimizing the pos*neg fan-out goes
-    first, ties broken by position.
+    first, ties broken by position.  ``prune=False`` keeps rows that another
+    row on the same coefficient direction makes redundant.
     """
     variables = list(sys.variables)
-    traced = [_Traced(row, {i: Rat(1)}) for i, row in enumerate(sys.rows)]
-    # (var, rows mentioning it at elimination time) for witness back-substitution
-    levels: list[tuple[str, list[Row]]] = []
-
-    def find_violated(rows: list[_Traced]) -> _Traced | None:
-        for t in rows:
-            if t.row.is_constant() and not t.row.constant_holds():
-                return t
-        return None
-
-    def certificate(t: _Traced) -> Infeasible:
-        multipliers = tuple(t.lineage.get(i, Rat(0)) for i in range(len(sys.rows)))
-        derived = Row(tuple(Rat(0) for _ in sys.variables), t.row.constant, t.row.relation)
-        return Infeasible(InfeasibilityCertificate(multipliers, derived))
+    # Input row i, scaled by scales[i], is kernel node i.  A derived node
+    # stores (parent_a, mult_a, parent_b, mult_b, divisor): its row is
+    # (mult_a * row_a + mult_b * row_b) / divisor.
+    scales: list[Rat] = []
+    parents: list[tuple[int, int, int, int, int] | None] = []
+    rows: list[_IntRow] = []
+    for i, row in enumerate(sys.rows):
+        lcm = 1
+        for value in (*row.coeffs, row.constant):
+            lcm = lcm * value.denominator // gcd(lcm, value.denominator)
+        ints = [value.numerator * (lcm // value.denominator)
+                for value in (*row.coeffs, row.constant)]
+        g = gcd(*ints) or 1
+        scales.append(Rat(lcm, g))
+        parents.append(None)
+        rows.append((tuple(v // g for v in ints[:-1]), ints[-1] // g,
+                     row.relation == ">", i))
+    # (variable index, rows mentioning it at elimination time) for the witness
+    levels: list[tuple[int, list[_IntRow]]] = []
 
     remaining = list(variables)
     while True:
-        bad = find_violated(traced)
-        if bad is not None:
-            return certificate(bad)
-        traced = [t for t in traced if not t.row.is_constant()]
+        for coeffs, constant, strict, node in rows:
+            if not any(coeffs) and (constant >= 0 if strict else constant > 0):
+                return _self_checked(sys, Infeasible(_certificate(sys, scales, parents, node)))
+        rows = [r for r in rows if any(r[0])]
         if prune:
-            traced = _prune(traced)
+            rows = _dedup(rows)
         if not remaining:
             break
         if order:
@@ -335,56 +319,87 @@ def check_feasibility(sys: LinearSystem, *, prune: bool = True,
         else:
             def fanout(v: str) -> tuple[int, int]:
                 k = variables.index(v)
-                p = sum(1 for t in traced if t.row.coeffs[k] > 0)
-                n = sum(1 for t in traced if t.row.coeffs[k] < 0)
+                p = sum(1 for r in rows if r[0][k] > 0)
+                n = sum(1 for r in rows if r[0][k] < 0)
                 return (p * n, k)
             var = min(remaining, key=fanout)
         remaining.remove(var)
         k = variables.index(var)
-        involved = [t.row for t in traced if t.row.coeffs[k] != 0]
-        levels.append((var, involved))
-        pos = [t for t in traced if t.row.coeffs[k] > 0]
-        neg = [t for t in traced if t.row.coeffs[k] < 0]
-        keep = [t for t in traced if t.row.coeffs[k] == 0]
-        combined = []
-        for p in pos:
-            mi = 1 / p.row.coeffs[k]
-            for n in neg:
-                mj = -1 / n.row.coeffs[k]
-                combined.append(_combine(p, n, mi, mj, f"fm({var})"))
-        traced = keep + combined
+        levels.append((k, [r for r in rows if r[0][k]]))
+        pos = [r for r in rows if r[0][k] > 0]
+        neg = [r for r in rows if r[0][k] < 0]
+        rows = [r for r in rows if not r[0][k]]
+        for p_coeffs, p_const, p_strict, p_node in pos:
+            a = p_coeffs[k]
+            for n_coeffs, n_const, n_strict, n_node in neg:
+                b = -n_coeffs[k]
+                g = gcd(a, b)
+                ma, mb = b // g, a // g
+                coeffs = [ma * x + mb * y for x, y in zip(p_coeffs, n_coeffs)]
+                constant = ma * p_const + mb * n_const
+                d = gcd(*coeffs, constant) or 1
+                parents.append((p_node, ma, n_node, mb, d))
+                rows.append((tuple(c // d for c in coeffs), constant // d,
+                             p_strict or n_strict, len(parents) - 1))
 
     # Feasible: rebuild a witness in reverse elimination order.
-    assignment: dict[str, Rat] = {}
-    for var, rows in reversed(levels):
-        k = variables.index(var)
+    assignment = [Rat(0)] * len(variables)
+    for k, level_rows in reversed(levels):
         lower: tuple[Rat, bool] | None = None  # (bound, strict)
         upper: tuple[Rat, bool] | None = None
-        for row in rows:
-            rest = sum((c * assignment.get(v, Rat(0))
-                        for c, v in zip(row.coeffs, variables) if v != var), Rat(0))
-            bound = (row.constant - rest) / row.coeffs[k]
-            strict = row.relation == ">"
-            if row.coeffs[k] > 0:
+        for coeffs, constant, strict, _ in level_rows:
+            # assignment[k] is still 0, so x_k drops out of the sum
+            rest = sum(c * x for c, x in zip(coeffs, assignment))
+            bound = Rat(constant - rest) / coeffs[k]
+            if coeffs[k] > 0:
                 if lower is None or bound > lower[0] or (bound == lower[0] and strict):
                     lower = (bound, strict)
             else:
                 if upper is None or bound < upper[0] or (bound == upper[0] and strict):
                     upper = (bound, strict)
         if lower is None and upper is None:
-            assignment[var] = Rat(0)
+            assignment[k] = Rat(0)
         elif lower is None:
-            assignment[var] = upper[0] - 1 if upper[1] else upper[0]
+            assignment[k] = upper[0] - 1 if upper[1] else upper[0]
         elif upper is None:
-            assignment[var] = lower[0] + 1 if lower[1] else lower[0]
+            assignment[k] = lower[0] + 1 if lower[1] else lower[0]
         else:
             if lower[0] == upper[0]:
                 # FM guarantees the interval is nonempty, so neither is strict.
-                assignment[var] = lower[0]
+                assignment[k] = lower[0]
             else:
-                assignment[var] = (lower[0] + upper[0]) / 2
-    witness = {v: assignment.get(v, Rat(0)) for v in variables}
-    return Feasible(witness)
+                assignment[k] = (lower[0] + upper[0]) / 2
+    return _self_checked(sys, Feasible(dict(zip(variables, assignment))))
+
+
+def _certificate(sys: LinearSystem, scales: list[Rat],
+                 parents: list[tuple[int, int, int, int, int] | None],
+                 node: int) -> InfeasibilityCertificate:
+    """Walk the parent pointers of the violated node back to the input rows."""
+    weights = {node: Rat(1)}
+    for n in range(node, len(sys.rows) - 1, -1):  # parents precede their children
+        if n in weights:
+            a, ma, b, mb, d = parents[n]
+            share = weights.pop(n) / d
+            weights[a] = weights.get(a, 0) + share * ma
+            weights[b] = weights.get(b, 0) + share * mb
+    multipliers = tuple(weights.get(i, Rat(0)) * scales[i] for i in range(len(sys.rows)))
+    constant = sum((m * row.constant for m, row in zip(multipliers, sys.rows)), Rat(0))
+    strict = any(m and row.relation == ">" for m, row in zip(multipliers, sys.rows))
+    derived = Row(tuple(Rat(0) for _ in sys.variables), constant, ">" if strict else ">=")
+    return InfeasibilityCertificate(multipliers, derived)
+
+
+def _self_checked(sys: LinearSystem, outcome: Feasible | Infeasible) -> Feasible | Infeasible:
+    """Evaluate a witness against every row, or replay a certificate."""
+    if isinstance(outcome, Feasible):
+        point = [outcome.witness[v] for v in sys.variables]
+        bad = next((row for row in sys.rows if not row.evaluate(point)), None)
+        if bad is not None:
+            raise SelfCheckFailed(f"witness violates {bad.pretty(sys.variables)}")
+    elif not replay_certificate(sys, outcome.certificate):
+        raise SelfCheckFailed("Farkas certificate does not replay")
+    return outcome
 
 
 def replay_certificate(sys: LinearSystem, cert: InfeasibilityCertificate) -> bool:

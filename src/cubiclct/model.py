@@ -232,6 +232,14 @@ def _req(mapping: dict, key: str, ctx: str):
     return mapping[key]
 
 
+def _shaped(value, kind: type, where: str):
+    """``value`` when it is a ``kind`` (dict or list), else a located ParseError."""
+    if not isinstance(value, kind):
+        expected = "mapping" if kind is dict else "list"
+        raise ParseError(f"{where}: expected a {expected}, got {value!r}")
+    return value
+
+
 def _parse_script_rows(items, variables, ctx) -> tuple[ScriptRow, ...]:
     rows = []
     for i, item in enumerate(items or []):
@@ -295,7 +303,7 @@ def load_fixture(text: str, name: str = "<fixture>") -> CaseFixture:
     profile = SingularityProfile.of(_req(doc, "profile", name))
 
     points = []
-    for pid, spec in (doc.get("points") or {}).items():
+    for pid, spec in _shaped(doc.get("points") or {}, dict, f"{name}: points").items():
         ade = AdeType.parse(_req(spec, "type", f"points.{pid}"))
         orientation = spec.get("orientation", "standard")
         if orientation not in ("standard", "reversed"):
@@ -316,15 +324,17 @@ def load_fixture(text: str, name: str = "<fixture>") -> CaseFixture:
             raise ParseError(f"{ctx}: bad kind {kind!r}")
         degree = int(spec.get("degree", {"line": 1, "conic": 2, "cubic": 3}[kind]))
         inc = []
-        for pid, vec in (spec.get("incidence") or {}).items():
+        where = f"{name}: {ctx} ({cid}).incidence"
+        for pid, vec in _shaped(spec.get("incidence") or {}, dict, where).items():
             if pid not in point_ids:
                 raise DanglingReference(f"{ctx}: unknown point {pid!r}")
-            vec = [int(v) for v in vec]
+            vec = [int(v) for v in _shaped(vec, list, f"{where}.{pid}")]
             if orientations[pid] == "reversed":
                 vec = vec[::-1]   # normalize to canonical chain order
             inc.append((pid, tuple(vec)))
         pairwise = tuple((other, parse_rat(val))
-                         for other, val in (spec.get("pairwise") or {}).items())
+                         for other, val in _shaped(spec.get("pairwise") or {}, dict,
+                                                   f"{name}: {ctx} ({cid}).pairwise").items())
         curves.append(NamedCurve(cid, kind, degree, tuple(inc), pairwise))
 
     curve_ids = {c.id for c in curves}
@@ -418,8 +428,8 @@ def load_fixture(text: str, name: str = "<fixture>") -> CaseFixture:
         gens = []
         for i, gen in enumerate(_req(gspec, "generators", "group")):
             ctx = f"group.generators[{i}]"
-            lines = tuple((k, v) for k, v in _req(gen, "lines", ctx).items())
-            pts = tuple((k, v) for k, v in (gen.get("points") or {}).items())
+            lines = tuple(_shaped(_req(gen, "lines", ctx), dict, f"{name}: {ctx}.lines").items())
+            pts = tuple(_shaped(gen.get("points") or {}, dict, f"{name}: {ctx}.points").items())
             for k, v in lines:
                 if k not in curve_ids or v not in curve_ids:
                     raise DanglingReference(f"{ctx}: unknown line {k!r} or {v!r}")
@@ -430,7 +440,8 @@ def load_fixture(text: str, name: str = "<fixture>") -> CaseFixture:
             int(_req(gspec, "declared_order", "group")),
             int(_req(gspec, "expected_image_order", "group")),
             tuple(gens), inv,
-            tuple((k, int(v)) for k, v in (gspec.get("extra_degrees") or {}).items()),
+            tuple((k, int(v)) for k, v in _shaped(gspec.get("extra_degrees") or {}, dict,
+                                                  f"{name}: group.extra_degrees").items()),
             (gspec.get("elimination") or {}).get("conic_residual_pairs", ""),
             _parse_assumptions(gspec.get("assumptions"), (), "group.assumptions"))
 
@@ -446,7 +457,8 @@ def load_fixture(text: str, name: str = "<fixture>") -> CaseFixture:
         fiberwise = FiberwiseData(
             _parse_poly(fspec.get("source_poly"), "fiberwise.source_poly"),
             _parse_poly(fspec.get("target_poly"), "fiberwise.target_poly"),
-            tuple(mp.items()) if mp is not None else None,
+            tuple(_shaped(mp, dict, f"{name}: fiberwise.map").items())
+            if mp is not None else None,
             fspec.get("expected_k"),
             lct_pair,
             tuple(bool(b) for b in _req(fspec, "log_terminal", "fiberwise")),

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from cubiclct.cli import main
 from cubiclct.linsys import LinearSystem, parse_row
 
@@ -50,7 +52,41 @@ def test_table_validates_like_case(capsys, tmp_path):
     assert code == 2
     assert table_err == case_err
     assert table_err.count("invalid fixture: ") == 2
+    assert table_err.count("invalid fixture: a3: ") == 2
     assert table_err.count("-K.L") == 2
+
+
+@pytest.mark.parametrize("field, message", [
+    ("incidence: {O: 1}", "a3: curves[1] (L2).incidence.O: expected a list, got 1"),
+    ("incidence: {O: [1, 0, 0]}, pairwise: [L1, 1]",
+     "a3: curves[1] (L2).pairwise: expected a mapping, got ['L1', 1]"),
+])
+def test_malformed_curve_field_is_located_parse_error(capsys, tmp_path, field, message):
+    _fixture_copy(tmp_path, "a3", "{id: L2, kind: line, incidence: {O: [1, 0, 0]}}",
+                  "{id: L2, kind: line, " + field + "}")
+    code, out, err = run(capsys, "--fixtures", str(tmp_path), "table")
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_fiberwise_map_as_list_is_located_parse_error(capsys, tmp_path):
+    _fixture_copy(tmp_path, "fiber_e6", "map: {x: 2, y: 3, z: 0, w: 6}",
+                  "map: [2, 3, 0, 6]")
+    code, _, err = run(capsys, "--fixtures", str(tmp_path), "fiberwise", "fiber_e6")
+    assert code == 2
+    assert "fiber_e6: fiberwise.map: expected a mapping, got [2, 3, 0, 6]" in err
+    assert "Traceback" not in err
+
+
+def test_kernel_self_check_failure_exits_one(capsys, monkeypatch):
+    from cubiclct import linsys
+    monkeypatch.setattr(linsys, "replay_certificate", lambda system, cert: False)
+    code, out, err = run(capsys, "case", "A5")
+    assert code == 1
+    assert out == ""
+    assert "self-check" in err
 
 
 def test_duplicate_profile_is_parse_error(capsys, tmp_path):

@@ -3,11 +3,11 @@ from fractions import Fraction as Rat
 
 import pytest
 
+from cubiclct import linsys
 from cubiclct.linsys import (DimensionMismatch, Feasible, Infeasible,
                              InfeasibilityCertificate, LinearSystem, Row,
-                             UnknownVariable, check_feasibility,
-                             fourier_motzkin_eliminate, parse_row,
-                             replay_certificate)
+                             SelfCheckFailed, UnknownVariable, check_feasibility,
+                             parse_row, replay_certificate)
 from oracles import feasible_by_vertex_enumeration
 
 
@@ -36,30 +36,28 @@ def test_parse_row_rejects_unknown_variable():
 
 def test_eliminate_simple_contradiction():
     system = sys_of(("x",), "x >= 1", "-x >= 0")
-    out = fourier_motzkin_eliminate(system, "x")
-    assert out.variables == ()
-    assert [(r.coeffs, r.constant, r.relation) for r in out.rows] == [((), Rat(1), ">=")]
+    outcome = check_feasibility(system)
+    assert isinstance(outcome, Infeasible)
+    assert replay_certificate(system, outcome.certificate)
 
 
 def test_eliminate_strict_branch_row():
     # the A5-type branch after substituting tau >= 4 reduces to 0 > 1
     system = sys_of(("a4",), "a4 > 2", "1 - a4 >= 0")
-    out = fourier_motzkin_eliminate(system, "a4")
-    assert len(out.rows) == 1
-    row = out.rows[0]
-    assert row.coeffs == () and row.constant == Rat(1) and row.relation == ">"
-    assert "row0" in row.provenance and "row1" in row.provenance
+    outcome = check_feasibility(system)
+    assert isinstance(outcome, Infeasible)
+    assert outcome.certificate.derived.relation == ">"
+    assert replay_certificate(system, outcome.certificate)
 
 
 def test_eliminate_vacuous():
     system = sys_of(("x",), "x >= 0")
-    out = fourier_motzkin_eliminate(system, "x")
-    assert out.rows == ()
+    assert isinstance(check_feasibility(system), Feasible)
 
 
 def test_eliminate_unknown_variable():
     with pytest.raises(UnknownVariable):
-        fourier_motzkin_eliminate(sys_of(("x",), "x >= 0"), "y")
+        sys_of(("x",), "x >= 0").var_index("y")
 
 
 def test_check_feasibility_a2_branch():
@@ -128,6 +126,39 @@ def test_strict_contradiction_needs_strict_row():
     # dropping the strict weight must invalidate the certificate
     tweaked = InfeasibilityCertificate((Rat(0), cert.multipliers[1]), cert.derived)
     assert not replay_certificate(system, tweaked)
+
+
+def test_unreplayable_certificate_raises(monkeypatch):
+    monkeypatch.setattr(linsys, "replay_certificate", lambda system, cert: False)
+    with pytest.raises(SelfCheckFailed):
+        check_feasibility(sys_of(("x",), "x >= 1", "-x >= 0"))
+
+
+def test_witness_off_a_row_raises(monkeypatch):
+    monkeypatch.setattr(Row, "evaluate", lambda row, point: False)
+    with pytest.raises(SelfCheckFailed):
+        check_feasibility(sys_of(("x",), "x >= 0"))
+
+
+def test_rational_rows_scale_back_in_the_certificate():
+    # x >= 1/2 and x <= 1/3: the certificate weights the original rational rows
+    system = sys_of(("x",), "2*x >= 1", "3*x <= 1", "x/4 >= 1/8")
+    outcome = check_feasibility(system)
+    assert isinstance(outcome, Infeasible)
+    assert replay_certificate(system, outcome.certificate)
+    cert = outcome.certificate
+    combined = sum((m * r.constant for m, r in zip(cert.multipliers, system.rows)), Rat(0))
+    assert cert.derived.constant == combined > 0
+
+
+def test_direction_dedup_keeps_the_tightest_row():
+    # 2x >= 1, 4x > 2 and x >= 0 share one direction; only x > 1/2 remains
+    system = sys_of(("x",), "2*x >= 1", "4*x > 2", "x >= 0", "x <= 1/2")
+    outcome = check_feasibility(system)
+    assert isinstance(outcome, Infeasible)
+    assert outcome.certificate.derived.relation == ">"
+    assert outcome.certificate.multipliers[1] > 0
+    assert outcome.certificate.multipliers[0] == outcome.certificate.multipliers[2] == 0
 
 
 def _random_system(rng, planted=None):
