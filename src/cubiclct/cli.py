@@ -74,9 +74,9 @@ def _resolve_fixture(token: str, directory: Path) -> CaseFixture:
         key = profile_key(token.split("+"))
     except Exception:
         key = token
-    for f in fixtures.values():
-        if f.model.profile.key == key and f.script is not None:
-            return f
+    cases = case_fixtures(fixtures)   # the rule `table` uses: one fixture per profile
+    if key in cases:
+        return cases[key]
     raise ParseError(f"no fixture named or matching {token!r} under {directory}")
 
 

@@ -382,16 +382,26 @@ def mutation_audit(fixture: CaseFixture) -> list[MutationRecord]:
     so every undeclared row is guaranteed to carry weight in some leaf.
     Machine-generated branch rows (generated mode) are audited too but
     reported with ``authored=False``.
+
+    Each leaf is solved once.  By Farkas' lemma, a leaf whose certificate
+    gives the deleted row a zero multiplier stays infeasible (the same
+    certificate refutes the rows left), so only a leaf whose certificate
+    uses the row, or a feasible leaf, is solved again without it.
     """
     script = fixture.script
-    leaves = materialize_leaves(fixture)
+    solved = [(leaf, check_feasibility(_leaf_system(script, leaf)))
+              for leaf in materialize_leaves(fixture)]
     records = []
 
     def flips_without(target: ScriptRow) -> bool:
-        for leaf in leaves:
-            kept = tuple(r.row for r in leaf.rows if r is not target)
-            if len(kept) == len(leaf.rows):
+        for leaf, outcome in solved:
+            used = [i for i, r in enumerate(leaf.rows) if r is target]
+            if not used:
                 continue
+            if isinstance(outcome, Infeasible) and not any(
+                    outcome.certificate.multipliers[i] for i in used):
+                continue
+            kept = tuple(r.row for r in leaf.rows if r is not target)
             system = LinearSystem(script.variables, kept)
             if isinstance(check_feasibility(system), Feasible):
                 return True
@@ -405,7 +415,7 @@ def mutation_audit(fixture: CaseFixture) -> list[MutationRecord]:
         records.append(MutationRecord(location, row.text, row.redundant, True,
                                       flips_without(row)))
     if script.mode == "generated":
-        for leaf in leaves:
+        for leaf, _ in solved:
             for row in leaf.rows:
                 if id(row) in seen or row.note == "closure tau >= 1/omega":
                     continue

@@ -291,19 +291,35 @@ def _parse_poly(items, ctx):
     return tuple(out)
 
 
+#: libyaml's parser when PyYAML was built with it, else the pure-Python one.
+#: Only the parser differs; the constructor and resolver, and so every
+#: loaded document, are the same under both.
+YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def load_fixture(text: str, name: str = "<fixture>") -> CaseFixture:
-    """Parse one fixture document; all rationals exact, all ids resolved."""
+    """Parse one fixture document; all rationals exact, all ids resolved.
+
+    Every ``ParseError`` (``DanglingReference`` included) names the fixture;
+    malformed YAML also gives its line and column.
+    """
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ParseError(f"{name}: invalid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{name}: fixture document is empty or not a mapping")
+    try:
+        return _build_fixture(doc, name)
+    except ParseError as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
 
-    profile = SingularityProfile.of(_req(doc, "profile", name))
+
+def _build_fixture(doc: dict, name: str) -> CaseFixture:
+    profile = SingularityProfile.of(_req(doc, "profile", "document"))
 
     points = []
-    for pid, spec in _shaped(doc.get("points") or {}, dict, f"{name}: points").items():
+    for pid, spec in _shaped(doc.get("points") or {}, dict, "points").items():
         ade = AdeType.parse(_req(spec, "type", f"points.{pid}"))
         orientation = spec.get("orientation", "standard")
         if orientation not in ("standard", "reversed"):
@@ -324,7 +340,7 @@ def load_fixture(text: str, name: str = "<fixture>") -> CaseFixture:
             raise ParseError(f"{ctx}: bad kind {kind!r}")
         degree = int(spec.get("degree", {"line": 1, "conic": 2, "cubic": 3}[kind]))
         inc = []
-        where = f"{name}: {ctx} ({cid}).incidence"
+        where = f"{ctx} ({cid}).incidence"
         for pid, vec in _shaped(spec.get("incidence") or {}, dict, where).items():
             if pid not in point_ids:
                 raise DanglingReference(f"{ctx}: unknown point {pid!r}")
@@ -334,7 +350,7 @@ def load_fixture(text: str, name: str = "<fixture>") -> CaseFixture:
             inc.append((pid, tuple(vec)))
         pairwise = tuple((other, parse_rat(val))
                          for other, val in _shaped(spec.get("pairwise") or {}, dict,
-                                                   f"{name}: {ctx} ({cid}).pairwise").items())
+                                                   f"{ctx} ({cid}).pairwise").items())
         curves.append(NamedCurve(cid, kind, degree, tuple(inc), pairwise))
 
     curve_ids = {c.id for c in curves}
@@ -345,7 +361,10 @@ def load_fixture(text: str, name: str = "<fixture>") -> CaseFixture:
 
     def parse_terms(items, ctx) -> tuple[tuple[Rat, str], ...]:
         terms = []
-        for j, pair in enumerate(items):
+        for j, pair in enumerate(_shaped(items, list, ctx)):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ParseError(f"{ctx}[{j}]: expected a [multiplicity, curve] pair, "
+                                 f"got {pair!r}")
             mult, cid = pair
             if cid not in curve_ids:
                 raise DanglingReference(f"{ctx}[{j}]: unknown curve {cid!r}")
@@ -428,8 +447,8 @@ def load_fixture(text: str, name: str = "<fixture>") -> CaseFixture:
         gens = []
         for i, gen in enumerate(_req(gspec, "generators", "group")):
             ctx = f"group.generators[{i}]"
-            lines = tuple(_shaped(_req(gen, "lines", ctx), dict, f"{name}: {ctx}.lines").items())
-            pts = tuple(_shaped(gen.get("points") or {}, dict, f"{name}: {ctx}.points").items())
+            lines = tuple(_shaped(_req(gen, "lines", ctx), dict, f"{ctx}.lines").items())
+            pts = tuple(_shaped(gen.get("points") or {}, dict, f"{ctx}.points").items())
             for k, v in lines:
                 if k not in curve_ids or v not in curve_ids:
                     raise DanglingReference(f"{ctx}: unknown line {k!r} or {v!r}")
@@ -441,7 +460,7 @@ def load_fixture(text: str, name: str = "<fixture>") -> CaseFixture:
             int(_req(gspec, "expected_image_order", "group")),
             tuple(gens), inv,
             tuple((k, int(v)) for k, v in _shaped(gspec.get("extra_degrees") or {}, dict,
-                                                  f"{name}: group.extra_degrees").items()),
+                                                  "group.extra_degrees").items()),
             (gspec.get("elimination") or {}).get("conic_residual_pairs", ""),
             _parse_assumptions(gspec.get("assumptions"), (), "group.assumptions"))
 
@@ -457,7 +476,7 @@ def load_fixture(text: str, name: str = "<fixture>") -> CaseFixture:
         fiberwise = FiberwiseData(
             _parse_poly(fspec.get("source_poly"), "fiberwise.source_poly"),
             _parse_poly(fspec.get("target_poly"), "fiberwise.target_poly"),
-            tuple(_shaped(mp, dict, f"{name}: fiberwise.map").items())
+            tuple(_shaped(mp, dict, "fiberwise.map").items())
             if mp is not None else None,
             fspec.get("expected_k"),
             lct_pair,

@@ -60,6 +60,7 @@ def test_table_validates_like_case(capsys, tmp_path):
     ("incidence: {O: 1}", "a3: curves[1] (L2).incidence.O: expected a list, got 1"),
     ("incidence: {O: [1, 0, 0]}, pairwise: [L1, 1]",
      "a3: curves[1] (L2).pairwise: expected a mapping, got ['L1', 1]"),
+    ("incidence: {P: [1, 0, 0]}", "error: a3: curves[1]: unknown point 'P'"),
 ])
 def test_malformed_curve_field_is_located_parse_error(capsys, tmp_path, field, message):
     _fixture_copy(tmp_path, "a3", "{id: L2, kind: line, incidence: {O: [1, 0, 0]}}",
@@ -95,6 +96,28 @@ def test_duplicate_profile_is_parse_error(capsys, tmp_path):
     code, _, err = run(capsys, "--fixtures", str(tmp_path), "table")
     assert code == 2
     assert "'a5'" in err and "'a5copy'" in err
+
+
+def test_case_rejects_duplicate_profile_like_table(capsys, tmp_path):
+    _fixture_copy(tmp_path, "a5")
+    _fixture_copy(tmp_path, "a5", as_name="a5copy")
+    code, out, err = run(capsys, "--fixtures", str(tmp_path), "case", "A5")
+    assert code == 2
+    assert out == ""
+    assert "'a5'" in err and "'a5copy'" in err
+    # a fixture name is not ambiguous
+    code, _, _ = run(capsys, "--fixtures", str(tmp_path), "case", "a5copy")
+    assert code == 0
+
+
+def test_malformed_equivalence_term_is_located_parse_error(capsys, tmp_path):
+    _fixture_copy(tmp_path, "a3", '  - [["1", L1], ["1", L2], ["1", L3]]',
+                  '  - [["1", L1, 3], ["1", L2], ["1", L3]]')
+    code, out, err = run(capsys, "--fixtures", str(tmp_path), "table")
+    assert code == 2
+    assert out == ""
+    assert ("error: a3: equivalences[0][0]: expected a [multiplicity, curve] pair, "
+            "got ['1', 'L1', 3]") in err
 
 
 def test_fiberwise_identity_needs_all_three_fields(capsys, tmp_path):

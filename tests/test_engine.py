@@ -266,6 +266,26 @@ def test_each_script_has_essential_rows():
         assert any(r.flips for r in records), key
 
 
+def test_support_driven_audit_matches_brute_force():
+    # the audit re-solves a leaf only when the deleted row is in the support of
+    # its certificate; re-solving every leaf without every row must agree
+    for key, fixture in sorted(CASES.items()):
+        leaves = materialize_leaves(fixture)
+        rows = {id(r): r for _, r in engine._authored_rows(fixture)}
+        if fixture.script.mode == "generated":
+            rows.update((id(r), r) for leaf in leaves for r in leaf.rows
+                        if id(r) not in rows and r.note != "closure tau >= 1/omega")
+        records = mutation_audit(fixture)
+        assert [r.text for r in records] == [r.text for r in rows.values()], key
+        for record, row in zip(records, rows.values()):
+            flips = any(
+                isinstance(check_feasibility(LinearSystem(
+                    fixture.script.variables,
+                    tuple(r.row for r in leaf.rows if r is not row))), Feasible)
+                for leaf in leaves if any(r is row for r in leaf.rows))
+            assert record.flips == flips, (key, record.location, record.text)
+
+
 # --- table and criterion --------------------------------------------------------
 
 def test_classify_profile_clauses():

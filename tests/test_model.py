@@ -3,7 +3,9 @@ from fractions import Fraction as Rat
 from pathlib import Path
 
 import pytest
+import yaml
 
+from cubiclct import model
 from cubiclct.cli import case_fixtures, fixture_dir, load_all_fixtures
 from cubiclct.engine import witness_lct_upper
 from cubiclct.model import (ADMISSIBLE_PROFILES, DanglingReference, ParseError,
@@ -11,6 +13,8 @@ from cubiclct.model import (ADMISSIBLE_PROFILES, DanglingReference, ParseError,
                             profile_key, serialize_fixture, validate_fixture)
 
 FIXTURES = load_all_fixtures(fixture_dir())
+# the libyaml parser when PyYAML has it, and always the pure-Python fallback
+LOADERS = ([yaml.CSafeLoader] if yaml.__with_libyaml__ else []) + [yaml.SafeLoader]
 
 
 def test_seventeen_case_fixtures_plus_group_and_fiber():
@@ -77,6 +81,36 @@ equivalences:
 """
     with pytest.raises(DanglingReference):
         load_fixture(doc)
+    # the fixture name is added in one place, and the exception keeps its type
+    with pytest.raises(DanglingReference, match=r"^doc: equivalences\[0\]\[1\]: unknown "
+                                                r"curve 'L9'$"):
+        load_fixture(doc, name="doc")
+
+
+def test_loaders_agree_on_every_bundled_fixture(monkeypatch):
+    # FIXTURES were loaded with the default loader, libyaml's when present
+    if yaml.__with_libyaml__:
+        assert model.YAML_LOADER is yaml.CSafeLoader
+    texts = {p.stem: p.read_text() for p in sorted(Path(str(fixture_dir())).glob("*.yaml"))}
+    assert len(texts) == 22
+    for loader in LOADERS:
+        monkeypatch.setattr(model, "YAML_LOADER", loader)
+        loaded = {name: load_fixture(text, name=name) for name, text in texts.items()}
+        assert loaded == FIXTURES, loader.__name__
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+def test_malformed_yaml_is_located_under_each_loader(monkeypatch, loader):
+    monkeypatch.setattr(model, "YAML_LOADER", loader)
+    text = Path(str(fixture_dir() / "a3.yaml")).read_text()
+    old = "  - {id: L3, kind: line, incidence: {O: [0, 1, 0]}}"
+    assert old in text
+    with pytest.raises(ParseError) as info:
+        load_fixture(text.replace(old, old[:-1]), name="a3")
+    message = str(info.value)
+    assert message.startswith("a3: invalid YAML: ")
+    assert "line 13, column 5" in message   # the flow mapping left open
+    assert "line 14, column 3" in message   # where a ',' or '}' was expected
 
 
 def test_degree_mismatch_is_a_finding():
