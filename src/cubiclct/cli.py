@@ -63,21 +63,35 @@ def case_fixtures(fixtures: dict[str, CaseFixture]) -> dict[str, CaseFixture]:
     return cases
 
 
-def _resolve_fixture(token: str, directory: Path) -> CaseFixture:
-    path = Path(token)
-    if path.exists():
-        return load_fixture(path.read_text(), name=path.stem)
-    fixtures = load_all_fixtures(directory)
-    if token in fixtures:
-        return fixtures[token]
-    try:
-        key = profile_key(token.split("+"))
-    except Exception:
-        key = token
-    cases = case_fixtures(fixtures)   # the rule `table` uses: one fixture per profile
-    if key in cases:
-        return cases[key]
-    raise ParseError(f"no fixture named or matching {token!r} under {directory}")
+class InvalidFixture(Exception):
+    """Validation findings were printed; ``main`` exits 2."""
+
+
+def _check_valid(fixtures) -> None:
+    """Print every validation finding of ``fixtures``; InvalidFixture if any."""
+    lines = [f"invalid fixture: {f.name}: {x}" for f in fixtures for x in validate_fixture(f)]
+    if lines:
+        print("\n".join(lines), file=sys.stderr)
+        raise InvalidFixture
+
+
+def _open_fixture(token: str, directory: Path) -> CaseFixture:
+    """The validated fixture that ``token`` names: a path, else the one file
+    ``<directory>/<token>.yaml``, else a profile among the case fixtures."""
+    for path in (Path(token), directory / f"{token}.yaml"):
+        if path.is_file():
+            fixture = load_fixture(path.read_text(), name=path.stem)
+            break
+    else:
+        try:
+            key = profile_key(token.split("+"))
+        except ValueError:
+            key = token
+        fixture = case_fixtures(load_all_fixtures(directory)).get(key)
+        if fixture is None:
+            raise ParseError(f"no fixture named or matching {token!r} under {directory}")
+    _check_valid([fixture])
+    return fixture
 
 
 def _case_json(result: engine.CaseResult) -> dict:
@@ -128,21 +142,11 @@ def _print_case_text(result: engine.CaseResult) -> None:
     print(f"  verified: {result.verified}")
 
 
-def _report_findings(fixture: CaseFixture) -> bool:
-    """Print the fixture's validation findings; True when there are any."""
-    findings = validate_fixture(fixture)
-    for f in findings:
-        print(f"invalid fixture: {fixture.name}: {f}", file=sys.stderr)
-    return bool(findings)
-
-
 def cmd_table(args) -> int:
     t0 = time.monotonic()
     fixtures = case_fixtures(load_all_fixtures(fixture_dir(args.fixtures)))
     items = sorted(fixtures.items())
-    invalid = [key for key, fixture in items if _report_findings(fixture)]
-    if invalid:
-        return EXIT_USAGE
+    _check_valid(fixture for _, fixture in items)
     results = {key: engine.compute_case_threshold(fixture) for key, fixture in items}
     try:
         table = engine.assemble_table(results, ADMISSIBLE_PROFILES)
@@ -173,13 +177,11 @@ def cmd_table(args) -> int:
 
 
 def cmd_case(args) -> int:
-    fixture = _resolve_fixture(args.profile, fixture_dir(args.fixtures))
+    fixture = _open_fixture(args.profile, fixture_dir(args.fixtures))
     if fixture.script is None or fixture.witness is None:
         kind = "equivariant" if fixture.group else "fiberwise"
         print(f"fixture {fixture.name!r} has no case script; try "
               f"`cubiclct {kind} {fixture.name}`", file=sys.stderr)
-        return EXIT_USAGE
-    if _report_findings(fixture):
         return EXIT_USAGE
     result = engine.compute_case_threshold(fixture)
     if args.json:
@@ -191,7 +193,7 @@ def cmd_case(args) -> int:
 
 
 def cmd_pullback(args) -> int:
-    fixture = _resolve_fixture(args.fixture, fixture_dir(args.fixtures))
+    fixture = _open_fixture(args.fixture, fixture_dir(args.fixtures))
     curve = fixture.model.curve(args.curve)
     lattice = fixture.model.lattice(args.point)
     vec = curve.incidence_at(args.point)
@@ -227,7 +229,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_equivariant(args) -> int:
-    fixture = _resolve_fixture(args.fixture, fixture_dir(args.fixtures))
+    fixture = _open_fixture(args.fixture, fixture_dir(args.fixtures))
     if fixture.group is None:
         print("fixture has no group data", file=sys.stderr)
         return EXIT_USAGE
@@ -248,7 +250,7 @@ def cmd_equivariant(args) -> int:
 
 
 def cmd_fiberwise(args) -> int:
-    fixture = _resolve_fixture(args.fixture, fixture_dir(args.fixtures))
+    fixture = _open_fixture(args.fixture, fixture_dir(args.fixtures))
     data = fixture.fiberwise
     if data is None:
         print("fixture has no fiberwise data", file=sys.stderr)
@@ -331,6 +333,8 @@ def main(argv: list[str] | None = None) -> int:
     except SelfCheckFailed as exc:
         print(f"verification failed: self-check: {exc}", file=sys.stderr)
         return EXIT_FAILED
+    except InvalidFixture:
+        return EXIT_USAGE
     except (ParseError, FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

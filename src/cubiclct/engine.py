@@ -120,10 +120,6 @@ class LeafResult:
     certificate: InfeasibilityCertificate | None
     witness: dict[str, Rat] | None
 
-    @property
-    def infeasible(self) -> bool:
-        return self.certificate is not None
-
 
 @dataclass(frozen=True)
 class AssumptionResult:

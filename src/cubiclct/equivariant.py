@@ -111,9 +111,8 @@ class EliminationTrace:
     conclusion: str
 
 
-def eliminate_invariant_curves(group: GroupData, line_labels: list[str],
-                               max_degree: int = 2) -> EliminationTrace:
-    """No invariant curve of degree <= max_degree exists on the fixture.
+def eliminate_invariant_curves(group: GroupData, line_labels: list[str]) -> EliminationTrace:
+    """No invariant curve of degree <= 2 exists on the fixture.
 
     (i) an invariant union of lines is orbit-closed, so its degree is a sum
     of orbit sizes and at least the smallest orbit size; (ii) an irreducible
@@ -126,10 +125,10 @@ def eliminate_invariant_curves(group: GroupData, line_labels: list[str],
     sizes = tuple(len(o) for o in orbits)
     min_union = min(sizes)
     fixed = tuple(o[0] for o in orbits if len(o) == 1)
-    if min_union <= max_degree:
+    if min_union <= 2:
         culprit = next(o for o in orbits if len(o) == min_union)
         raise EliminationFails(
-            f"invariant union of lines {culprit} has degree {min_union} <= {max_degree}")
+            f"invariant union of lines {culprit} has degree {min_union} <= 2")
     if fixed:
         raise EliminationFails(
             f"fixed line {fixed[0]} could be the residual of an invariant conic")

@@ -19,7 +19,7 @@ the Dynkin edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Rat
 
 from cubiclct.qexact import QMatrix, solve_linear_system
@@ -93,14 +93,10 @@ class ResolutionLattice:
     """Exceptional lattice of the crepant resolution over one singular point."""
 
     ade: AdeType
-    nodes: tuple[str, ...] = field(default=())
 
-    def __post_init__(self):
-        if not self.nodes:
-            object.__setattr__(self, "nodes",
-                               tuple(f"E{i+1}" for i in range(self.ade.rank)))
-        if len(self.nodes) != self.ade.rank:
-            raise ValueError("node count does not match rank")
+    @property
+    def nodes(self) -> tuple[str, ...]:
+        return tuple(f"E{i+1}" for i in range(self.ade.rank))
 
     @property
     def rank(self) -> int:

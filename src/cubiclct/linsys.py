@@ -66,9 +66,6 @@ class Row:
         value = sum((c * x for c, x in zip(self.coeffs, point)), Rat(0))
         return value > self.constant if self.relation == ">" else value >= self.constant
 
-    def is_constant(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def constant_holds(self) -> bool:
         zero = Rat(0)
         return zero > self.constant if self.relation == ">" else zero >= self.constant
@@ -273,14 +270,13 @@ def _dedup(rows: list[_IntRow]) -> list[_IntRow]:
     return [row for row, _ in best.values()]
 
 
-def check_feasibility(sys: LinearSystem, *, prune: bool = True,
+def check_feasibility(sys: LinearSystem, *,
                       order: list[str] | None = None) -> Feasible | Infeasible:
     """Decide the system exactly; Infeasible carries a replayable certificate.
 
     ``order`` pins the elimination order (used by the order-independence
     tests); by default the variable minimizing the pos*neg fan-out goes
-    first, ties broken by position.  ``prune=False`` keeps rows that another
-    row on the same coefficient direction makes redundant.
+    first, ties broken by position.
     """
     variables = list(sys.variables)
     # Input row i, scaled by scales[i], is kernel node i.  A derived node
@@ -308,9 +304,7 @@ def check_feasibility(sys: LinearSystem, *, prune: bool = True,
         for coeffs, constant, strict, node in rows:
             if not any(coeffs) and (constant >= 0 if strict else constant > 0):
                 return _self_checked(sys, Infeasible(_certificate(sys, scales, parents, node)))
-        rows = [r for r in rows if any(r[0])]
-        if prune:
-            rows = _dedup(rows)
+        rows = _dedup([r for r in rows if any(r[0])])
         if not remaining:
             break
         if order:

@@ -107,7 +107,6 @@ class SurfaceModel:
     points: tuple[tuple[str, ResolutionLattice], ...]
     curves: tuple[NamedCurve, ...]
     equivalences: tuple[BoundaryDivisor, ...]
-    anticanonical_degree: int = 3
 
     def lattice(self, point: str) -> ResolutionLattice:
         for pid, lat in self.points:
@@ -240,6 +239,14 @@ def _shaped(value, kind: type, where: str):
     return value
 
 
+def _scalar(convert, value, where: str):
+    """``convert(value)``, with a bad value raised as a located ParseError."""
+    try:
+        return convert(value)
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
 def _parse_script_rows(items, variables, ctx) -> tuple[ScriptRow, ...]:
     rows = []
     for i, item in enumerate(items or []):
@@ -252,10 +259,7 @@ def _parse_script_rows(items, variables, ctx) -> tuple[ScriptRow, ...]:
             redundant = bool(item.get("redundant", False))
         else:
             raise ParseError(f"{where}: row must be string or mapping")
-        try:
-            row = parse_row(text, variables, provenance=note or text)
-        except (ValueError, KeyError) as exc:
-            raise ParseError(f"{where}: {exc}") from exc
+        row = _scalar(lambda t: parse_row(t, variables, provenance=note or t), text, where)
         rows.append(ScriptRow(text, row, note, redundant))
     return tuple(rows)
 
@@ -287,7 +291,8 @@ def _parse_poly(items, ctx):
     for i, (coef, exps) in enumerate(items):
         if len(exps) != 5:
             raise ParseError(f"{ctx}[{i}]: exponent vector must have 5 entries (x,y,z,w,t)")
-        out.append((parse_rat(coef), tuple(int(e) for e in exps)))
+        out.append((_scalar(parse_rat, coef, f"{ctx}[{i}]"),
+                    tuple(_scalar(int, e, f"{ctx}[{i}]") for e in exps)))
     return tuple(out)
 
 
@@ -316,11 +321,11 @@ def load_fixture(text: str, name: str = "<fixture>") -> CaseFixture:
 
 
 def _build_fixture(doc: dict, name: str) -> CaseFixture:
-    profile = SingularityProfile.of(_req(doc, "profile", "document"))
+    profile = _scalar(SingularityProfile.of, _req(doc, "profile", "document"), "profile")
 
     points = []
     for pid, spec in _shaped(doc.get("points") or {}, dict, "points").items():
-        ade = AdeType.parse(_req(spec, "type", f"points.{pid}"))
+        ade = _scalar(AdeType.parse, _req(spec, "type", f"points.{pid}"), f"points.{pid}.type")
         orientation = spec.get("orientation", "standard")
         if orientation not in ("standard", "reversed"):
             raise ParseError(f"points.{pid}: bad orientation {orientation!r}")
@@ -338,19 +343,22 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
         kind = _req(spec, "kind", ctx)
         if kind not in ("line", "conic", "cubic"):
             raise ParseError(f"{ctx}: bad kind {kind!r}")
-        degree = int(spec.get("degree", {"line": 1, "conic": 2, "cubic": 3}[kind]))
+        degree = _scalar(int, spec.get("degree", {"line": 1, "conic": 2, "cubic": 3}[kind]),
+                         f"{ctx} ({cid}).degree")
         inc = []
         where = f"{ctx} ({cid}).incidence"
         for pid, vec in _shaped(spec.get("incidence") or {}, dict, where).items():
             if pid not in point_ids:
                 raise DanglingReference(f"{ctx}: unknown point {pid!r}")
-            vec = [int(v) for v in _shaped(vec, list, f"{where}.{pid}")]
+            at = f"{where}.{pid}"
+            vec = [_scalar(int, v, at) for v in _shaped(vec, list, at)]
             if orientations[pid] == "reversed":
                 vec = vec[::-1]   # normalize to canonical chain order
             inc.append((pid, tuple(vec)))
-        pairwise = tuple((other, parse_rat(val))
+        where = f"{ctx} ({cid}).pairwise"
+        pairwise = tuple((other, _scalar(parse_rat, val, f"{where}.{other}"))
                          for other, val in _shaped(spec.get("pairwise") or {}, dict,
-                                                   f"{ctx} ({cid}).pairwise").items())
+                                                   where).items())
         curves.append(NamedCurve(cid, kind, degree, tuple(inc), pairwise))
 
     curve_ids = {c.id for c in curves}
@@ -368,7 +376,7 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
             mult, cid = pair
             if cid not in curve_ids:
                 raise DanglingReference(f"{ctx}[{j}]: unknown curve {cid!r}")
-            terms.append((parse_rat(mult), cid))
+            terms.append((_scalar(parse_rat, mult, f"{ctx}[{j}]"), cid))
         return tuple(terms)
 
     equivalences = tuple(
@@ -394,7 +402,8 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
                     if "curve" in item:
                         if item["curve"] not in curve_ids:
                             raise DanglingReference(f"{ctx}: unknown curve {item['curve']!r}")
-                        strict.append((item["curve"], int(item.get("mult", 1))))
+                        strict.append((item["curve"],
+                                       _scalar(int, item.get("mult", 1), f"{ctx}.mult")))
                     elif "exceptional" in item:
                         excs.append(item["exceptional"])
                     else:
@@ -412,7 +421,7 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
         if mode not in ("generated", "transcribed"):
             raise ParseError(f"script.mode: bad mode {mode!r}")
         variables = tuple(_req(sspec, "variables", "script"))
-        tau_floor = parse_rat(_req(sspec, "tau_floor", "script"))
+        tau_floor = _scalar(parse_rat, _req(sspec, "tau_floor", "script"), "script.tau_floor")
         base_rows = _parse_script_rows(sspec.get("base_rows"), variables, "script.base_rows")
         point = sspec.get("point")
         if mode == "generated":
@@ -456,18 +465,21 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
         inv = parse_terms(_req(gspec, "invariant_divisor", "group"), "group.invariant_divisor")
         group = GroupData(
             _req(gspec, "name", "group"),
-            int(_req(gspec, "declared_order", "group")),
-            int(_req(gspec, "expected_image_order", "group")),
+            _scalar(int, _req(gspec, "declared_order", "group"), "group.declared_order"),
+            _scalar(int, _req(gspec, "expected_image_order", "group"),
+                    "group.expected_image_order"),
             tuple(gens), inv,
-            tuple((k, int(v)) for k, v in _shaped(gspec.get("extra_degrees") or {}, dict,
-                                                  "group.extra_degrees").items()),
+            tuple((k, _scalar(int, v, f"group.extra_degrees.{k}"))
+                  for k, v in _shaped(gspec.get("extra_degrees") or {}, dict,
+                                      "group.extra_degrees").items()),
             (gspec.get("elimination") or {}).get("conic_residual_pairs", ""),
             _parse_assumptions(gspec.get("assumptions"), (), "group.assumptions"))
 
     fiberwise = None
     if "fiberwise" in doc and doc["fiberwise"] is not None:
         fspec = doc["fiberwise"]
-        lct_pair = tuple(parse_rat(v) for v in _req(fspec, "lct_pair", "fiberwise"))
+        lct_pair = tuple(_scalar(parse_rat, v, "fiberwise.lct_pair")
+                         for v in _req(fspec, "lct_pair", "fiberwise"))
         given = [k for k in ("source_poly", "target_poly", "map") if fspec.get(k) is not None]
         if len(given) in (1, 2):
             raise ParseError("fiberwise: source_poly, target_poly and map go together; "
@@ -486,7 +498,8 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
 
     model = SurfaceModel(profile, tuple((pid, lat) for pid, lat, _ in points),
                          tuple(curves), equivalences)
-    expected = parse_rat(doc["expected_omega"]) if "expected_omega" in doc else None
+    expected = (_scalar(parse_rat, doc["expected_omega"], "expected_omega")
+                if "expected_omega" in doc else None)
     return CaseFixture(doc.get("name", name), model, expected, witness, script,
                        group, fiberwise)
 
@@ -664,7 +677,7 @@ def validate_fixture(fixture: CaseFixture) -> list[str]:
 
     for i, eq in enumerate(model.equivalences):
         deg = eq.degree(curve_map)
-        if deg != model.anticanonical_degree:
+        if deg != 3:
             findings.append(f"equivalences[{i}]: degree mismatch (total degree {deg})")
         if any(m < 0 for m, _ in eq.terms):
             findings.append(f"equivalences[{i}]: negative multiplicity")
@@ -688,7 +701,7 @@ def validate_fixture(fixture: CaseFixture) -> list[str]:
         wb = fixture.witness.boundary
         if any(m < 0 for m, _ in wb.terms):
             findings.append("witness: negative multiplicity")
-        if wb.degree(curve_map) != model.anticanonical_degree:
+        if wb.degree(curve_map) != 3:
             findings.append("witness: boundary degree is not 3")
         if model.equivalences and not any(
                 sorted(wb.terms) == sorted(eq.terms) for eq in model.equivalences):

@@ -74,9 +74,6 @@ class QMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[Rat, ...]:
-        return self.entries[i]
-
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
             self.entries[i][j] == self.entries[j][i]

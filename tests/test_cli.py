@@ -5,6 +5,7 @@ import pytest
 
 from cubiclct.cli import main
 from cubiclct.linsys import LinearSystem, parse_row
+from cubiclct.model import load_fixture
 
 
 def run(capsys, *argv):
@@ -61,6 +62,8 @@ def test_table_validates_like_case(capsys, tmp_path):
     ("incidence: {O: [1, 0, 0]}, pairwise: [L1, 1]",
      "a3: curves[1] (L2).pairwise: expected a mapping, got ['L1', 1]"),
     ("incidence: {P: [1, 0, 0]}", "error: a3: curves[1]: unknown point 'P'"),
+    ("incidence: {O: [a, 0, 0]}",
+     "error: a3: curves[1] (L2).incidence.O: invalid literal for int() with base 10: 'a'"),
 ])
 def test_malformed_curve_field_is_located_parse_error(capsys, tmp_path, field, message):
     _fixture_copy(tmp_path, "a3", "{id: L2, kind: line, incidence: {O: [1, 0, 0]}}",
@@ -70,6 +73,73 @@ def test_malformed_curve_field_is_located_parse_error(capsys, tmp_path, field, m
     assert out == ""
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('expected_omega: "1/2"', 'expected_omega: "1/x"',
+     "error: a3: expected_omega: not a rational literal: '1/x'"),
+    ('tau_floor: "2"', 'tau_floor: "2/0"', "error: a3: script.tau_floor: zero denominator in '2/0'"),
+    ("profile: [A3]", "profile: [Q3]", "error: a3: profile: bad ADE label 'Q3'"),
+])
+def test_malformed_scalar_is_located_parse_error(capsys, tmp_path, old, new, message):
+    _fixture_copy(tmp_path, "a3", old, new)
+    code, out, err = run(capsys, "--fixtures", str(tmp_path), "table")
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
+# (fixture, edit that leaves it loadable but invalid, command line)
+INVALID_FIXTURES = [
+    ("cayley", ('["1", L14], ["1", L24]]', '["1", L14], ["2", L24]]'),
+     ["equivariant", "cayley"]),
+    ("fiber_e6", ("profile: [E6]", "profile: [A6]"), ["fiberwise", "fiber_e6", "--json"]),
+    ("a3", ("{id: L2, kind: line, incidence: {O: [1, 0, 0]}}",
+            "{id: L2, kind: line, incidence: {O: [0, 0, 1]}}"), ["pullback", "a3", "L1", "O"]),
+]
+
+
+@pytest.mark.parametrize("name, edit, argv", INVALID_FIXTURES,
+                         ids=[argv[0] for _, _, argv in INVALID_FIXTURES])
+def test_every_fixture_command_rejects_an_invalid_fixture(capsys, tmp_path, name, edit, argv):
+    _fixture_copy(tmp_path, name, *edit)
+    code, out, err = run(capsys, "--fixtures", str(tmp_path), *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert lines and all(line.startswith(f"invalid fixture: {name}: ") for line in lines)
+
+
+def test_fixture_name_reads_one_file(capsys, monkeypatch):
+    from cubiclct import cli
+    loaded = []
+
+    def counting(text, name="<fixture>"):
+        loaded.append(name)
+        return load_fixture(text, name=name)
+    monkeypatch.setattr(cli, "load_fixture", counting)
+    code, _, _ = run(capsys, "case", "a5")
+    assert code == 0
+    assert loaded == ["a5"]
+
+
+@pytest.mark.parametrize("name, argv", [("a5", ["case", "a5"]),
+                                        ("cayley", ["equivariant", "cayley"])],
+                         ids=["case", "equivariant"])
+def test_fixture_name_ignores_a_malformed_neighbour(capsys, tmp_path, name, argv):
+    _fixture_copy(tmp_path, name)
+    _fixture_copy(tmp_path, "a3", 'expected_omega: "1/2"', 'expected_omega: "1/x"')
+    code, out, err = run(capsys, "--fixtures", str(tmp_path), *argv)
+    assert code == 0
+    assert out and err == ""
+
+
+def test_case_on_a_directory_is_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "case", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: no fixture named or matching")
 
 
 def test_fiberwise_map_as_list_is_located_parse_error(capsys, tmp_path):
