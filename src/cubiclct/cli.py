@@ -22,7 +22,7 @@ from cubiclct.lattice import pullback_coefficients
 from cubiclct.linsys import (InfeasibilityCertificate, LinearSystem, SelfCheckFailed,
                              check_feasibility, Infeasible, replay_certificate)
 from cubiclct.model import (ADMISSIBLE_PROFILES, CaseFixture, ParseError,
-                            load_fixture, profile_key, validate_fixture)
+                            load_fixture, peek_profile, profile_key, validate_fixture)
 from cubiclct.qexact import format_rat
 
 ENV_FIXTURE_DIR = "CUBICLCT_FIXTURE_DIR"
@@ -41,10 +41,14 @@ def fixture_dir(override: str | None = None) -> Path:
     return Path(str(resources.files("cubiclct") / "fixtures"))
 
 
-def load_all_fixtures(directory: Path) -> dict[str, CaseFixture]:
+def load_all_fixtures(directory: Path, profile: str | None = None) -> dict[str, CaseFixture]:
+    """The fixtures under ``directory`` by file stem. With ``profile``, only the
+    files that may declare it: those whose ``peek_profile`` is it or ``None``."""
     fixtures = {}
     for path in sorted(directory.glob("*.yaml")):
-        fixtures[path.stem] = load_fixture(path.read_text(), name=path.stem)
+        text = path.read_text()
+        if profile is None or peek_profile(text) in (profile, None):
+            fixtures[path.stem] = load_fixture(text, name=path.stem)
     return fixtures
 
 
@@ -87,7 +91,7 @@ def _open_fixture(token: str, directory: Path) -> CaseFixture:
             key = profile_key(token.split("+"))
         except ValueError:
             key = token
-        fixture = case_fixtures(load_all_fixtures(directory)).get(key)
+        fixture = case_fixtures(load_all_fixtures(directory, key)).get(key)
         if fixture is None:
             raise ParseError(f"no fixture named or matching {token!r} under {directory}")
     _check_valid([fixture])

@@ -50,6 +50,8 @@ class AdeType:
 
     @staticmethod
     def parse(label: str) -> "AdeType":
+        if not isinstance(label, str):
+            raise UnsupportedType(f"bad ADE label {label!r}")
         label = label.strip()
         if len(label) < 2 or label[0] not in "ADE":
             raise UnsupportedType(f"bad ADE label {label!r}")

@@ -11,6 +11,7 @@ mistyped incidence vectors.
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass
 from fractions import Fraction as Rat
 
@@ -284,6 +285,15 @@ def _parse_assumptions(items, variables, ctx) -> tuple[Assumption, ...]:
     return tuple(out)
 
 
+def _integer(value) -> int:
+    """``value`` when YAML read it as an int; a float or bool is never truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        int(value)   # a string that is no numeral keeps int()'s own message
+    raise TypeError(f"expected an integer, got {value!r}")
+
+
 def _parse_poly(items, ctx):
     if items is None:
         return None
@@ -292,26 +302,101 @@ def _parse_poly(items, ctx):
         if len(exps) != 5:
             raise ParseError(f"{ctx}[{i}]: exponent vector must have 5 entries (x,y,z,w,t)")
         out.append((_scalar(parse_rat, coef, f"{ctx}[{i}]"),
-                    tuple(_scalar(int, e, f"{ctx}[{i}]") for e in exps)))
+                    tuple(_scalar(_integer, e, f"{ctx}[{i}]") for e in exps)))
     return tuple(out)
 
 
 #: libyaml's parser when PyYAML was built with it, else the pure-Python one.
-#: Only the parser differs; the constructor and resolver, and so every
-#: loaded document, are the same under both.
+#: Only the parser differs; the resolver and ``_UniqueKeyConstructor``, and
+#: so every loaded document, are the same under both.
 YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+_STR, _MERGE = "tag:yaml.org,2002:str", "tag:yaml.org,2002:merge"
+
+
+class _UniqueKeyConstructor(yaml.constructor.SafeConstructor):
+    """PyYAML's safe constructor, except that a key repeated in one mapping is
+    an error at the repeat, not a silent overwrite. A key that a ``<<`` merge
+    brings in may still be overridden by one written in the mapping."""
+
+    def construct_mapping(self, node, deep=False):
+        if not isinstance(node, yaml.MappingNode):
+            return super().construct_mapping(node, deep)
+        written = sum(key_node.tag != _MERGE for key_node, _ in node.value)
+        self.flatten_mapping(node)   # merged pairs first, then the written ones
+        first_written = len(node.value) - written
+        mapping, seen = {}, set()
+        for i, (key_node, value_node) in enumerate(node.value):
+            key = self.construct_object(key_node, deep=deep)
+            if not isinstance(key, Hashable):
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    "found unhashable key", key_node.start_mark)
+            if i >= first_written:
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+            mapping[key] = self.construct_object(value_node, deep=deep)
+        return mapping
+
+
+def peek_profile(text: str) -> str | None:
+    """``profile_key`` of the document's top-level ``profile`` list, or ``None``.
+
+    Reads parser events only up to the end of that list. ``None`` means the
+    list cannot be read plainly: there is no such key, broken YAML comes
+    before it, its value is not a list of scalars (an alias, say), or
+    ``profile_key`` rejects a label. Whenever this is not ``None``, a document
+    that loads declares this profile: ``load_fixture`` refuses a repeated
+    key, a ``<<`` merge never overrides a written one, and a label with a
+    tag other than ``str`` fails to load.
+    """
+    loader = YAML_LOADER(text)
+    try:
+        for _ in range(3):   # stream start, document start, the top-level node
+            event = loader.get_event()
+        if not isinstance(event, yaml.MappingStartEvent):
+            return None
+        while isinstance(key := loader.get_event(), yaml.ScalarEvent):
+            value = loader.get_event()
+            # a plain or quoted ``profile`` resolves to str; only an explicit tag differs
+            if key.value == "profile" and key.tag in (None, "!", _STR):
+                if not isinstance(value, yaml.SequenceStartEvent):
+                    return None
+                labels = []
+                while isinstance(event := loader.get_event(), yaml.ScalarEvent):
+                    labels.append(event.value)
+                if not isinstance(event, yaml.SequenceEndEvent):
+                    return None
+                return profile_key(labels)
+            depth = isinstance(value, yaml.CollectionStartEvent)   # skip any other value
+            while depth:
+                event = loader.get_event()
+                depth += (isinstance(event, yaml.CollectionStartEvent)
+                          - isinstance(event, yaml.CollectionEndEvent))
+        return None   # the mapping ended, or a key is an alias or a collection
+    except (yaml.YAMLError, ValueError):   # broken YAML, or a label profile_key rejects
+        return None
+    finally:
+        loader.dispose()
 
 
 def load_fixture(text: str, name: str = "<fixture>") -> CaseFixture:
     """Parse one fixture document; all rationals exact, all ids resolved.
 
     Every ``ParseError`` (``DanglingReference`` included) names the fixture;
-    malformed YAML also gives its line and column.
+    malformed YAML, a repeated key included, also gives its line and column.
     """
+    loader = YAML_LOADER(text)
     try:
-        doc = yaml.load(text, Loader=YAML_LOADER)
+        node = loader.get_single_node()
+        doc = None if node is None else _UniqueKeyConstructor().construct_document(node)
     except yaml.YAMLError as exc:
         raise ParseError(f"{name}: invalid YAML: {exc}") from exc
+    finally:
+        loader.dispose()
     if not isinstance(doc, dict):
         raise ParseError(f"{name}: fixture document is empty or not a mapping")
     try:
@@ -343,7 +428,8 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
         kind = _req(spec, "kind", ctx)
         if kind not in ("line", "conic", "cubic"):
             raise ParseError(f"{ctx}: bad kind {kind!r}")
-        degree = _scalar(int, spec.get("degree", {"line": 1, "conic": 2, "cubic": 3}[kind]),
+        degree = _scalar(_integer,
+                         spec.get("degree", {"line": 1, "conic": 2, "cubic": 3}[kind]),
                          f"{ctx} ({cid}).degree")
         inc = []
         where = f"{ctx} ({cid}).incidence"
@@ -351,7 +437,7 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
             if pid not in point_ids:
                 raise DanglingReference(f"{ctx}: unknown point {pid!r}")
             at = f"{where}.{pid}"
-            vec = [_scalar(int, v, at) for v in _shaped(vec, list, at)]
+            vec = [_scalar(_integer, v, at) for v in _shaped(vec, list, at)]
             if orientations[pid] == "reversed":
                 vec = vec[::-1]   # normalize to canonical chain order
             inc.append((pid, tuple(vec)))
@@ -403,7 +489,7 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
                         if item["curve"] not in curve_ids:
                             raise DanglingReference(f"{ctx}: unknown curve {item['curve']!r}")
                         strict.append((item["curve"],
-                                       _scalar(int, item.get("mult", 1), f"{ctx}.mult")))
+                                       _scalar(_integer, item.get("mult", 1), f"{ctx}.mult")))
                     elif "exceptional" in item:
                         excs.append(item["exceptional"])
                     else:
@@ -465,11 +551,11 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
         inv = parse_terms(_req(gspec, "invariant_divisor", "group"), "group.invariant_divisor")
         group = GroupData(
             _req(gspec, "name", "group"),
-            _scalar(int, _req(gspec, "declared_order", "group"), "group.declared_order"),
-            _scalar(int, _req(gspec, "expected_image_order", "group"),
+            _scalar(_integer, _req(gspec, "declared_order", "group"), "group.declared_order"),
+            _scalar(_integer, _req(gspec, "expected_image_order", "group"),
                     "group.expected_image_order"),
             tuple(gens), inv,
-            tuple((k, _scalar(int, v, f"group.extra_degrees.{k}"))
+            tuple((k, _scalar(_integer, v, f"group.extra_degrees.{k}"))
                   for k, v in _shaped(gspec.get("extra_degrees") or {}, dict,
                                       "group.extra_degrees").items()),
             (gspec.get("elimination") or {}).get("conic_residual_pairs", ""),
@@ -484,13 +570,14 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
         if len(given) in (1, 2):
             raise ParseError("fiberwise: source_poly, target_poly and map go together; "
                              f"only {', '.join(given)} given")
-        mp = fspec.get("map")
+        mp, k = fspec.get("map"), fspec.get("expected_k")
         fiberwise = FiberwiseData(
             _parse_poly(fspec.get("source_poly"), "fiberwise.source_poly"),
             _parse_poly(fspec.get("target_poly"), "fiberwise.target_poly"),
-            tuple(_shaped(mp, dict, "fiberwise.map").items())
+            tuple((v, _scalar(_integer, e, f"fiberwise.map.{v}"))
+                  for v, e in _shaped(mp, dict, "fiberwise.map").items())
             if mp is not None else None,
-            fspec.get("expected_k"),
+            None if k is None else _scalar(_integer, k, "fiberwise.expected_k"),
             lct_pair,
             tuple(bool(b) for b in _req(fspec, "log_terminal", "fiberwise")),
             _req(fspec, "expected_verdict", "fiberwise"),

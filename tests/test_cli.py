@@ -64,6 +64,12 @@ def test_table_validates_like_case(capsys, tmp_path):
     ("incidence: {P: [1, 0, 0]}", "error: a3: curves[1]: unknown point 'P'"),
     ("incidence: {O: [a, 0, 0]}",
      "error: a3: curves[1] (L2).incidence.O: invalid literal for int() with base 10: 'a'"),
+    ("incidence: {O: [1.5, 0, 0]}",
+     "error: a3: curves[1] (L2).incidence.O: expected an integer, got 1.5"),
+    ("incidence: {O: [true, 0, 0]}",
+     "error: a3: curves[1] (L2).incidence.O: expected an integer, got True"),
+    ("incidence: {O: [1, 0, 0]}, degree: 1.0",
+     "error: a3: curves[1] (L2).degree: expected an integer, got 1.0"),
 ])
 def test_malformed_curve_field_is_located_parse_error(capsys, tmp_path, field, message):
     _fixture_copy(tmp_path, "a3", "{id: L2, kind: line, incidence: {O: [1, 0, 0]}}",
@@ -80,6 +86,8 @@ def test_malformed_curve_field_is_located_parse_error(capsys, tmp_path, field, m
      "error: a3: expected_omega: not a rational literal: '1/x'"),
     ('tau_floor: "2"', 'tau_floor: "2/0"', "error: a3: script.tau_floor: zero denominator in '2/0'"),
     ("profile: [A3]", "profile: [Q3]", "error: a3: profile: bad ADE label 'Q3'"),
+    ("profile: [A3]", "profile: [3]", "error: a3: profile: bad ADE label 3"),
+    ("{type: A3,", "{type: 3,", "error: a3: points.O.type: bad ADE label 3"),
 ])
 def test_malformed_scalar_is_located_parse_error(capsys, tmp_path, old, new, message):
     _fixture_copy(tmp_path, "a3", old, new)
@@ -124,9 +132,26 @@ def test_fixture_name_reads_one_file(capsys, monkeypatch):
     assert loaded == ["a5"]
 
 
+@pytest.mark.parametrize("token, expected", [("A5+A1", ["a5a1"]),
+                                             ("D4", ["d4", "fiber_d4"])])
+def test_profile_token_loads_only_the_files_that_declare_it(capsys, monkeypatch,
+                                                            token, expected):
+    from cubiclct import cli
+    loaded = []
+
+    def counting(text, name="<fixture>"):
+        loaded.append(name)
+        return load_fixture(text, name=name)
+    monkeypatch.setattr(cli, "load_fixture", counting)
+    code, _, _ = run(capsys, "case", token)
+    assert code == 0
+    assert loaded == expected
+
+
 @pytest.mark.parametrize("name, argv", [("a5", ["case", "a5"]),
-                                        ("cayley", ["equivariant", "cayley"])],
-                         ids=["case", "equivariant"])
+                                        ("cayley", ["equivariant", "cayley"]),
+                                        ("a5", ["case", "A5"])],
+                         ids=["case", "equivariant", "profile"])
 def test_fixture_name_ignores_a_malformed_neighbour(capsys, tmp_path, name, argv):
     _fixture_copy(tmp_path, name)
     _fixture_copy(tmp_path, "a3", 'expected_omega: "1/2"', 'expected_omega: "1/x"')
@@ -178,6 +203,18 @@ def test_case_rejects_duplicate_profile_like_table(capsys, tmp_path):
     # a fixture name is not ambiguous
     code, _, _ = run(capsys, "--fixtures", str(tmp_path), "case", "a5copy")
     assert code == 0
+
+
+def test_repeated_profile_key_is_an_input_error(capsys, tmp_path):
+    # the second key no longer silently wins, on the profile path either
+    _fixture_copy(tmp_path, "a3", "profile: [A3]", "profile: [A3]\nprofile: [A2]")
+    for argv in (["table"], ["case", "A3"]):
+        code, out, err = run(capsys, "--fixtures", str(tmp_path), *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: a3: invalid YAML: ")
+        assert "found duplicate key 'profile'" in err
+        assert "line 7, column 1" in err
 
 
 def test_malformed_equivalence_term_is_located_parse_error(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from fractions import Fraction as Rat
 from pathlib import Path
@@ -10,7 +11,8 @@ from cubiclct.cli import case_fixtures, fixture_dir, load_all_fixtures
 from cubiclct.engine import witness_lct_upper
 from cubiclct.model import (ADMISSIBLE_PROFILES, DanglingReference, ParseError,
                             SingularityProfile, intersection_number, load_fixture,
-                            profile_key, serialize_fixture, validate_fixture)
+                            peek_profile, profile_key, serialize_fixture,
+                            validate_fixture)
 
 FIXTURES = load_all_fixtures(fixture_dir())
 # the libyaml parser when PyYAML has it, and always the pure-Python fallback
@@ -111,6 +113,91 @@ def test_malformed_yaml_is_located_under_each_loader(monkeypatch, loader):
     assert message.startswith("a3: invalid YAML: ")
     assert "line 13, column 5" in message   # the flow mapping left open
     assert "line 14, column 3" in message   # where a ',' or '}' was expected
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+def test_peek_profile_matches_the_loaded_profile(monkeypatch, loader):
+    monkeypatch.setattr(model, "YAML_LOADER", loader)
+    paths = sorted(Path(str(fixture_dir())).glob("*.yaml"))
+    assert len(paths) == 22
+    for path in paths:
+        text = path.read_text()
+        assert peek_profile(text) == load_fixture(text, path.stem).model.profile.key, path
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("text", [
+    "labels: &p [A5]\nprofile: *p\n",
+    "profile: A5\n",
+    "profile: [3]\n",
+    "profile: [A5, [A1]]\n",
+    "name: [a5\nprofile: [A5]\n",
+    "<<: {profile: [A5]}\n",
+    "name: a5\n",
+], ids=["alias", "not a list", "int label", "nested list", "broken before", "merge key",
+        "no key"])
+def test_peek_profile_is_none_when_unreadable(monkeypatch, loader, text):
+    monkeypatch.setattr(model, "YAML_LOADER", loader)
+    assert peek_profile(text) is None
+
+
+@pytest.mark.parametrize("text, key", [
+    ("name: {a: [1, {b: 2}]}\n'profile': [A1, \"A5\"]\nbroken: [\n", "A5+A1"),
+    ("!!null profile: [A1]\nprofile: [A5]\n", "A5"),
+    ("<<: {profile: [A1]}\nprofile: [A5]\n", "A5"),
+], ids=["stops at the list", "null key", "merge overridden"])
+def test_peek_profile_reads_the_written_key(text, key):
+    assert peek_profile(text) == key
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("old, new, where", [
+    ("profile: [A3]", "profile: [A3]\nprofile: [A2]", "line 7, column 1"),
+    ("{id: L5, kind: line, incidence: {O: [0, 0, 1]}}",
+     "{id: L5, kind: line, incidence: {O: [0, 0, 1], O: [1, 0, 0]}}", "line 15, column 52"),
+], ids=["profile", "incidence"])
+def test_repeated_key_is_located_parse_error(monkeypatch, loader, old, new, where):
+    monkeypatch.setattr(model, "YAML_LOADER", loader)
+    text = Path(str(fixture_dir() / "a3.yaml")).read_text()
+    assert text.count(old) == 1
+    with pytest.raises(ParseError) as info:
+        load_fixture(text.replace(old, new), name="a3")
+    message = str(info.value)
+    assert message.startswith("a3: invalid YAML: ")
+    assert "found duplicate key" in message
+    assert where in message
+
+
+def test_merged_key_may_still_be_overridden():
+    doc = load_fixture("""
+profile: [A1]
+points:
+  O: {type: A1}
+base: &line {kind: line, incidence: {O: [1]}}
+curves:
+  - {<<: *line, id: L1}
+  - {<<: *line, id: L2, kind: conic}
+""")
+    assert [(c.id, c.kind) for c in doc.model.curves] == [("L1", "line"), ("L2", "conic")]
+
+
+@pytest.mark.parametrize("name, old, new, message", [
+    ("fiber_e6", "map: {x: 2,", "map: {x: 2.0,",
+     "fiber_e6: fiberwise.map.x: expected an integer, got 2.0"),
+    ("fiber_e6", "expected_k: 6", "expected_k: 6.5",
+     "fiber_e6: fiberwise.expected_k: expected an integer, got 6.5"),
+    ("fiber_e6", '["1", [0, 0, 0, 3, 12]]', '["1", [0, 0, 0, 3, 12.5]]',
+     "fiber_e6: fiberwise.source_poly[3]: expected an integer, got 12.5"),
+    ("cayley", "declared_order: 24", "declared_order: true",
+     "cayley: group.declared_order: expected an integer, got True"),
+    ("a1", "{curve: L1, mult: 1}", "{curve: L1, mult: 1.5}",
+     "a1: witness.tower[0].mult: expected an integer, got 1.5"),
+])
+def test_integer_fields_take_yaml_ints_only(name, old, new, message):
+    text = Path(str(fixture_dir() / f"{name}.yaml")).read_text()
+    assert old in text
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load_fixture(text.replace(old, new), name=name)
 
 
 def test_degree_mismatch_is_a_finding():
