@@ -5,10 +5,11 @@ A row states ``sum(coeffs[i] * x[i])  REL  constant`` with REL one of
 over the integers:
 
 - every input row is scaled to a primitive integer row (times the lcm of
-  its denominators, divided by the gcd of its entries, constant included);
-  each combination step multiplies the pair by ``b/g`` and ``a/g`` with
-  ``g = gcd(a, b)`` and divides the result by its content, so no
-  ``Fraction`` is built inside the elimination loop;
+  its denominators, divided by the gcd of its entries, constant included),
+  once per ``Row`` (``Row.primitive``); each combination step multiplies
+  the pair by ``b/g`` and ``a/g`` with ``g = gcd(a, b)`` and divides the
+  result by its content, so no ``Fraction`` is built inside the
+  elimination loop;
 - after each step one dict keyed by the coefficient direction keeps only
   the tightest row per direction, which collapses the duplicates that make
   FM blow up;
@@ -22,8 +23,15 @@ rational multipliers that combine the input rows into ``0 >= c`` with
 ``c > 0``, or into ``0 > c`` with ``c >= 0`` and a strict row weighted
 positively.  ``replay_certificate`` re-checks such a combination from
 scratch, and ``check_feasibility`` runs that replay, or evaluates its
-witness against every input row, before it returns; a failure raises
-``SelfCheckFailed``.
+witness against every input row (``Row.evaluate``), before it returns; a
+failure raises ``SelfCheckFailed``.
+
+The certificate walk, the witness back-substitution, the replay and the
+witness check all run in integers over one common denominator; a
+``Fraction`` is built only for each multiplier, witness coordinate and
+variable bound they emit.  The replay reads each row's own numerators and
+denominators, never the kernel's scaled rows, so it does not depend on the
+scaling it checks.
 
 Systems are tiny (at most ~8 variables), which is why Fourier-Motzkin wins
 over an exact simplex here: certificates fall out of the trace for free.
@@ -34,7 +42,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction as Rat
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 
 from cubiclct.qexact import format_rat, parse_rat
 
@@ -62,9 +71,29 @@ class Row:
         if self.relation not in (">=", ">"):
             raise ValueError(f"bad relation {self.relation!r}")
 
+    @cached_property
+    def primitive(self) -> tuple[tuple[int, ...], int, int, int]:
+        """``(coeffs, constant, lcm, g)``: this row times ``lcm/g`` as coprime integers.
+
+        ``lcm`` clears every denominator and ``g`` is the gcd of the cleared
+        entries, constant included (1 for an all-zero row).  Computed once per
+        Row; ``dataclasses.replace`` builds a new Row, which computes its own.
+        """
+        values = (*self.coeffs, self.constant)
+        scale = lcm(*(v.denominator for v in values))
+        ints = [v.numerator * (scale // v.denominator) for v in values]
+        g = gcd(*ints) or 1
+        return tuple(v // g for v in ints[:-1]), ints[-1] // g, scale, g
+
     def evaluate(self, point: list[Rat]) -> bool:
-        value = sum((c * x for c, x in zip(self.coeffs, point)), Rat(0))
-        return value > self.constant if self.relation == ">" else value >= self.constant
+        """Whether ``point`` satisfies the row, summed in integers over the
+        lcm of the nonzero terms' denominators and the constant's."""
+        terms = [(c, x) for c, x in zip(self.coeffs, point) if c and x]
+        den = lcm(self.constant.denominator, *(c.denominator * x.denominator for c, x in terms))
+        value = sum(c.numerator * x.numerator * (den // (c.denominator * x.denominator))
+                    for c, x in terms)
+        bound = self.constant.numerator * (den // self.constant.denominator)
+        return value > bound if self.relation == ">" else value >= bound
 
     def constant_holds(self) -> bool:
         zero = Rat(0)
@@ -279,23 +308,12 @@ def check_feasibility(sys: LinearSystem, *,
     first, ties broken by position.
     """
     variables = list(sys.variables)
-    # Input row i, scaled by scales[i], is kernel node i.  A derived node
+    # Input row i, as its Row.primitive, is kernel node i.  A derived node
     # stores (parent_a, mult_a, parent_b, mult_b, divisor): its row is
     # (mult_a * row_a + mult_b * row_b) / divisor.
-    scales: list[Rat] = []
-    parents: list[tuple[int, int, int, int, int] | None] = []
-    rows: list[_IntRow] = []
-    for i, row in enumerate(sys.rows):
-        lcm = 1
-        for value in (*row.coeffs, row.constant):
-            lcm = lcm * value.denominator // gcd(lcm, value.denominator)
-        ints = [value.numerator * (lcm // value.denominator)
-                for value in (*row.coeffs, row.constant)]
-        g = gcd(*ints) or 1
-        scales.append(Rat(lcm, g))
-        parents.append(None)
-        rows.append((tuple(v // g for v in ints[:-1]), ints[-1] // g,
-                     row.relation == ">", i))
+    parents: list[tuple[int, int, int, int, int] | None] = [None] * len(sys.rows)
+    rows: list[_IntRow] = [(*row.primitive[:2], row.relation == ">", i)
+                           for i, row in enumerate(sys.rows)]
     # (variable index, rows mentioning it at elimination time) for the witness
     levels: list[tuple[int, list[_IntRow]]] = []
 
@@ -303,7 +321,7 @@ def check_feasibility(sys: LinearSystem, *,
     while True:
         for coeffs, constant, strict, node in rows:
             if not any(coeffs) and (constant >= 0 if strict else constant > 0):
-                return _self_checked(sys, Infeasible(_certificate(sys, scales, parents, node)))
+                return _self_checked(sys, Infeasible(_certificate(sys, parents, node)))
         rows = _dedup([r for r in rows if any(r[0])])
         if not remaining:
             break
@@ -336,15 +354,16 @@ def check_feasibility(sys: LinearSystem, *,
                 rows.append((tuple(c // d for c in coeffs), constant // d,
                              p_strict or n_strict, len(parents) - 1))
 
-    # Feasible: rebuild a witness in reverse elimination order.
-    assignment = [Rat(0)] * len(variables)
+    # Feasible: rebuild a witness in reverse elimination order, as integer
+    # numerators over one common denominator.
+    nums, den = [0] * len(variables), 1
     for k, level_rows in reversed(levels):
         lower: tuple[Rat, bool] | None = None  # (bound, strict)
         upper: tuple[Rat, bool] | None = None
         for coeffs, constant, strict, _ in level_rows:
-            # assignment[k] is still 0, so x_k drops out of the sum
-            rest = sum(c * x for c, x in zip(coeffs, assignment))
-            bound = Rat(constant - rest) / coeffs[k]
+            # nums[k] is still 0, so x_k drops out of the sum
+            rest = sum(c * x for c, x in zip(coeffs, nums) if c and x)
+            bound = Rat(constant * den - rest, den * coeffs[k])
             if coeffs[k] > 0:
                 if lower is None or bound > lower[0] or (bound == lower[0] and strict):
                     lower = (bound, strict)
@@ -352,36 +371,55 @@ def check_feasibility(sys: LinearSystem, *,
                 if upper is None or bound < upper[0] or (bound == upper[0] and strict):
                     upper = (bound, strict)
         if lower is None and upper is None:
-            assignment[k] = Rat(0)
+            value = Rat(0)
         elif lower is None:
-            assignment[k] = upper[0] - 1 if upper[1] else upper[0]
+            value = upper[0] - 1 if upper[1] else upper[0]
         elif upper is None:
-            assignment[k] = lower[0] + 1 if lower[1] else lower[0]
+            value = lower[0] + 1 if lower[1] else lower[0]
+        elif lower[0] == upper[0]:
+            # FM guarantees the interval is nonempty, so neither is strict.
+            value = lower[0]
         else:
-            if lower[0] == upper[0]:
-                # FM guarantees the interval is nonempty, so neither is strict.
-                assignment[k] = lower[0]
-            else:
-                assignment[k] = (lower[0] + upper[0]) / 2
-    return _self_checked(sys, Feasible(dict(zip(variables, assignment))))
+            value = (lower[0] + upper[0]) / 2
+        t = value.denominator // gcd(den, value.denominator)
+        if t > 1:
+            nums, den = [x * t for x in nums], den * t
+        nums[k] = value.numerator * (den // value.denominator)
+    witness = {v: Rat(x, den) for v, x in zip(variables, nums)}
+    return _self_checked(sys, Feasible(witness))
 
 
-def _certificate(sys: LinearSystem, scales: list[Rat],
+def _certificate(sys: LinearSystem,
                  parents: list[tuple[int, int, int, int, int] | None],
                  node: int) -> InfeasibilityCertificate:
-    """Walk the parent pointers of the violated node back to the input rows."""
-    weights = {node: Rat(1)}
+    """Walk the parent pointers of the violated node back to the input rows.
+
+    The weights are integers over one common denominator ``den``.  A node
+    is its parents' combination divided by its ``divisor``; before its
+    weight is shared out, every weight and ``den`` are scaled by what of the
+    divisor the weight does not already hold.  Input row i carries weight
+    ``w/den`` on its primitive form, so its multiplier is ``w*lcm/(den*g)``.
+    """
+    den, weights = 1, {node: 1}
     for n in range(node, len(sys.rows) - 1, -1):  # parents precede their children
         if n in weights:
             a, ma, b, mb, d = parents[n]
-            share = weights.pop(n) / d
+            t = d // gcd(weights[n], d)
+            if t > 1:
+                den *= t
+                weights = {k: w * t for k, w in weights.items()}
+            share = weights.pop(n) // d
             weights[a] = weights.get(a, 0) + share * ma
             weights[b] = weights.get(b, 0) + share * mb
-    multipliers = tuple(weights.get(i, Rat(0)) * scales[i] for i in range(len(sys.rows)))
-    constant = sum((m * row.constant for m, row in zip(multipliers, sys.rows)), Rat(0))
-    strict = any(m and row.relation == ">" for m, row in zip(multipliers, sys.rows))
-    derived = Row(tuple(Rat(0) for _ in sys.variables), constant, ">" if strict else ">=")
-    return InfeasibilityCertificate(multipliers, derived)
+    multipliers, constant, strict = [], 0, False
+    for i, row in enumerate(sys.rows):
+        w = weights.get(i, 0)
+        _, c, scale, g = row.primitive
+        multipliers.append(Rat(w * scale, den * g))
+        constant += w * c
+        strict = strict or (w > 0 and row.relation == ">")
+    derived = Row((Rat(0),) * len(sys.variables), Rat(constant, den), ">" if strict else ">=")
+    return InfeasibilityCertificate(tuple(multipliers), derived)
 
 
 def _self_checked(sys: LinearSystem, outcome: Feasible | Infeasible) -> Feasible | Infeasible:
@@ -397,25 +435,29 @@ def _self_checked(sys: LinearSystem, outcome: Feasible | Infeasible) -> Feasible
 
 
 def replay_certificate(sys: LinearSystem, cert: InfeasibilityCertificate) -> bool:
-    """Recheck a certificate from scratch with exact arithmetic."""
+    """Recheck a certificate from scratch with exact arithmetic.
+
+    Each term ``m * v`` of the combination is ``m.numerator * v.numerator``
+    over ``m.denominator * v.denominator``, read from the multiplier and the
+    row itself; the terms are summed in integers over their lcm, which is
+    positive, so the sums have the signs of the combined row's entries.
+    """
     if len(cert.multipliers) != len(sys.rows):
         raise DimensionMismatch("multiplier count does not match row count")
     if any(m < 0 for m in cert.multipliers):
         return False
-    coeffs = [Rat(0)] * len(sys.variables)
-    constant = Rat(0)
-    strict_used = False
-    for mult, row in zip(cert.multipliers, sys.rows):
-        if mult == 0:
-            continue
-        for i, c in enumerate(row.coeffs):
-            coeffs[i] += mult * c
-        constant += mult * row.constant
-        if row.relation == ">":
-            strict_used = True
-    if any(c != 0 for c in coeffs):
+    used = [(m, (*row.coeffs, row.constant)) for m, row in zip(cert.multipliers, sys.rows) if m]
+    den = lcm(*(m.denominator * v.denominator for m, values in used for v in values))
+    sums = [0] * (len(sys.variables) + 1)
+    for m, values in used:
+        for j, v in enumerate(values):
+            if v:
+                sums[j] += m.numerator * v.numerator * (den // (m.denominator * v.denominator))
+    *coeffs, constant = sums
+    if any(coeffs):
         return False
-    # Combined row reads 0 >= constant (or 0 > constant with a strict parent).
+    # Combined row reads 0 >= constant (or 0 > constant with a strict row used).
     if constant > 0:
         return True
+    strict_used = any(m and row.relation == ">" for m, row in zip(cert.multipliers, sys.rows))
     return strict_used and constant >= 0

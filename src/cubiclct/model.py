@@ -257,7 +257,7 @@ def _parse_script_rows(items, variables, ctx) -> tuple[ScriptRow, ...]:
         elif isinstance(item, dict):
             text = _req(item, "row", where)
             note = item.get("note", "")
-            redundant = bool(item.get("redundant", False))
+            redundant = _scalar(_boolean, item.get("redundant", False), f"{where}.redundant")
         else:
             raise ParseError(f"{where}: row must be string or mapping")
         row = _scalar(lambda t: parse_row(t, variables, provenance=note or t), text, where)
@@ -294,6 +294,13 @@ def _integer(value) -> int:
     raise TypeError(f"expected an integer, got {value!r}")
 
 
+def _boolean(value) -> bool:
+    """``value`` when YAML read it as a bool; a string such as ``"false"`` is never true."""
+    if isinstance(value, bool):
+        return value
+    raise TypeError(f"expected true or false, got {value!r}")
+
+
 def _parse_poly(items, ctx):
     if items is None:
         return None
@@ -317,7 +324,19 @@ _STR, _MERGE = "tag:yaml.org,2002:str", "tag:yaml.org,2002:merge"
 class _UniqueKeyConstructor(yaml.constructor.SafeConstructor):
     """PyYAML's safe constructor, except that a key repeated in one mapping is
     an error at the repeat, not a silent overwrite. A key that a ``<<`` merge
-    brings in may still be overridden by one written in the mapping."""
+    brings in may still be overridden by one written in the mapping. A value
+    that its tag's constructor rejects (``!!timestamp a3``, ``!!bool maybe``)
+    is a ``ConstructorError`` at that value, not the constructor's own
+    exception."""
+
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep)
+        except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
+            value = f" {node.value!r}" if isinstance(node, yaml.ScalarNode) else ""
+            raise yaml.constructor.ConstructorError(
+                None, None, f"cannot construct {node.tag}{value}: {exc}",
+                node.start_mark) from exc
 
     def construct_mapping(self, node, deep=False):
         if not isinstance(node, yaml.MappingNode):
@@ -579,7 +598,9 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
             if mp is not None else None,
             None if k is None else _scalar(_integer, k, "fiberwise.expected_k"),
             lct_pair,
-            tuple(bool(b) for b in _req(fspec, "log_terminal", "fiberwise")),
+            tuple(_scalar(_boolean, b, f"fiberwise.log_terminal[{i}]") for i, b in
+                  enumerate(_shaped(_req(fspec, "log_terminal", "fiberwise"), list,
+                                    "fiberwise.log_terminal"))),
             _req(fspec, "expected_verdict", "fiberwise"),
             tuple(_req(fspec, "fiber_profiles", "fiberwise")))
 

@@ -88,6 +88,12 @@ def test_malformed_curve_field_is_located_parse_error(capsys, tmp_path, field, m
     ("profile: [A3]", "profile: [Q3]", "error: a3: profile: bad ADE label 'Q3'"),
     ("profile: [A3]", "profile: [3]", "error: a3: profile: bad ADE label 3"),
     ("{type: A3,", "{type: 3,", "error: a3: points.O.type: bad ADE label 3"),
+    ("name: a3", "name: !!timestamp a3",
+     "error: a3: invalid YAML: cannot construct tag:yaml.org,2002:timestamp 'a3'"),
+    ("name: a3", "name: !!bool maybe",
+     "error: a3: invalid YAML: cannot construct tag:yaml.org,2002:bool 'maybe'"),
+    ("name: a3", "name: !!int x3",
+     "error: a3: invalid YAML: cannot construct tag:yaml.org,2002:int 'x3'"),
 ])
 def test_malformed_scalar_is_located_parse_error(capsys, tmp_path, old, new, message):
     _fixture_copy(tmp_path, "a3", old, new)
@@ -361,3 +367,13 @@ def test_fixture_dir_env_override(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "case", "E6")
     assert code == 0
     assert "omega = 1/6" in out
+
+
+def test_quoted_false_log_terminal_is_an_input_error(capsys, tmp_path):
+    _fixture_copy(tmp_path, "fiber_e6", "log_terminal: [true, true]",
+                  'log_terminal: ["false", true]')
+    code, out, err = run(capsys, "--fixtures", str(tmp_path), "fiberwise", "fiber_e6", "--json")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: fiber_e6: fiberwise.log_terminal[0]: "
+                   "expected true or false, got 'false'\n")

@@ -1,5 +1,7 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as Rat
+from math import gcd, lcm
 
 import pytest
 
@@ -243,3 +245,143 @@ def test_json_roundtrip():
     outcome = check_feasibility(system)
     cert = outcome.certificate
     assert InfeasibilityCertificate.from_json(cert.to_json()) == cert
+
+
+# --- integer certificate walk, replay and witness check ---------------------
+
+def _rational_system(rng):
+    """A random system whose entries have denominators up to 6."""
+    variables = tuple(f"x{i}" for i in range(rng.randint(1, 4)))
+    rows = tuple(Row(tuple(Rat(rng.randint(-4, 4), rng.randint(1, 6)) for _ in variables),
+                     Rat(rng.randint(-5, 5), rng.randint(1, 6)), rng.choice((">", ">=")))
+                 for _ in range(rng.randint(1, 9)))
+    return LinearSystem(variables, rows)
+
+
+def _fresh_primitive(row):
+    values = (*row.coeffs, row.constant)
+    scale = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    g = gcd(*ints) or 1
+    return tuple(v // g for v in ints[:-1]), ints[-1] // g, scale, g
+
+
+def _fraction_walk(system, parents, node):
+    """Fraction weights walked down the kernel's parent pointers, then scaled
+    back from each input row's primitive form to the row itself."""
+    weights = {node: Rat(1)}
+    for n in range(node, len(system.rows) - 1, -1):
+        if n in weights:
+            a, ma, b, mb, d = parents[n]
+            share = weights.pop(n) / d
+            weights[a] = weights.get(a, Rat(0)) + share * ma
+            weights[b] = weights.get(b, Rat(0)) + share * mb
+    return tuple(weights.get(i, Rat(0)) * Rat(*_fresh_primitive(row)[2:])
+                 for i, row in enumerate(system.rows))
+
+
+def _fraction_replay(system, multipliers):
+    """The combination summed in Fractions, entry by entry."""
+    if any(m < 0 for m in multipliers):
+        return False
+    *coeffs, constant = (sum((m * v for m, v in zip(multipliers, column)), Rat(0))
+                         for column in zip(*((*r.coeffs, r.constant) for r in system.rows)))
+    strict = any(m and r.relation == ">" for m, r in zip(multipliers, system.rows))
+    return not any(coeffs) and (constant > 0 or (strict and constant >= 0))
+
+
+def _walked_certificates(monkeypatch, count=60):
+    """(system, certificate, Fraction walk) for the first ``count`` infeasible
+    systems of a fixed-seed batch."""
+    walks = []
+    integer_walk = linsys._certificate
+
+    def recording(system, parents, node):
+        cert = integer_walk(system, parents, node)
+        walks.append((system, cert, _fraction_walk(system, parents, node)))
+        return cert
+
+    monkeypatch.setattr(linsys, "_certificate", recording)
+    rng = random.Random(9090)
+    while len(walks) < count:
+        check_feasibility(_rational_system(rng))
+    return walks
+
+
+def test_integer_walk_equals_a_fraction_walk(monkeypatch):
+    walks = _walked_certificates(monkeypatch)
+    assert any(m.denominator > 1 for _, cert, _ in walks for m in cert.multipliers)
+    for system, cert, expected in walks:
+        assert cert.multipliers == expected, system.pretty()
+        assert all(type(m) is Rat for m in cert.multipliers)
+        constant = sum((m * r.constant for m, r in zip(expected, system.rows)), Rat(0))
+        assert cert.derived.constant == constant
+
+
+def test_replay_agrees_with_a_fraction_sum_on_tampered_certificates(monkeypatch):
+    verdicts = set()
+    moved_strict = 0
+    for system, cert, _ in _walked_certificates(monkeypatch):
+        m = list(cert.multipliers)
+        support = [i for i, x in enumerate(m) if x]
+        i = support[0]
+        other = (i + 1) % len(m)
+        tampered = [m,
+                    m[:i] + [m[i] + Rat(1, 7)] + m[i + 1:],   # nudged
+                    m[:i] + [Rat(0)] + m[i + 1:],             # zeroed
+                    m[:other] + [-Rat(1, 3)] + m[other + 1:]]  # negative
+        strict = [j for j in support if system.rows[j].relation == ">"]
+        if strict and len(m) > 1:                             # strict weight moved
+            j = strict[0]
+            k = (j + 1) % len(m)
+            moved = list(m)
+            moved[k], moved[j] = moved[k] + moved[j], Rat(0)
+            tampered.append(moved)
+            moved_strict += 1
+        for multipliers in tampered:
+            attempt = InfeasibilityCertificate(tuple(multipliers), cert.derived)
+            verdict = replay_certificate(system, attempt)
+            assert verdict == _fraction_replay(system, multipliers), (system.pretty(), multipliers)
+            verdicts.add(verdict)
+        assert replay_certificate(system, cert)
+    assert verdicts == {True, False}
+    assert moved_strict > 0
+
+
+def test_replay_takes_plain_int_multipliers():
+    system = sys_of(("x",), "x >= 1", "-x >= 0")
+    derived = Row((Rat(0),), Rat(1), ">=")
+    assert replay_certificate(system, InfeasibilityCertificate((1, 1), derived))
+    assert replay_certificate(system, InfeasibilityCertificate((3, 3), derived))
+    assert not replay_certificate(system, InfeasibilityCertificate((1, 0), derived))
+    assert not replay_certificate(system, InfeasibilityCertificate((1, -1), derived))
+    halves = sys_of(("x",), "2*x >= 1", "-3*x > -1")   # x >= 1/2 and x < 1/3
+    assert replay_certificate(halves, InfeasibilityCertificate((3, 2), derived))
+
+
+def test_row_primitive_is_computed_once_per_row():
+    row = parse_row("x/6 - 2*y/3 >= 5/4", ("x", "y"))
+    assert row.primitive == ((2, -8), 15, 12, 1)
+    assert row.primitive is row.primitive
+    assert parse_row("2*x + 4*y > 6", ("x", "y")).primitive == ((1, 2), 3, 1, 2)
+    assert Row((Rat(0),), Rat(0), ">=").primitive == ((0,), 0, 1, 1)
+    rng = random.Random(606)
+    for _ in range(50):
+        for r in _rational_system(rng).rows:
+            assert r.primitive == _fresh_primitive(r)
+    moved = replace(row, constant=Rat(7, 2))
+    assert "primitive" not in vars(moved)
+    assert moved.primitive == _fresh_primitive(moved) == ((1, -4), 21, 6, 1)
+
+
+def test_evaluate_agrees_with_a_fraction_sum():
+    rng = random.Random(808)
+    for _ in range(300):
+        system = _rational_system(rng)
+        point = [Rat(rng.randint(-4, 4), rng.randint(1, 5)) for _ in system.variables]
+        for row in system.rows:
+            value = sum((c * x for c, x in zip(row.coeffs, point)), Rat(0))
+            # the row as drawn, and the row moved onto the point
+            for r in (row, replace(row, constant=value)):
+                expected = value > r.constant if r.relation == ">" else value >= r.constant
+                assert r.evaluate(point) == expected

@@ -331,3 +331,38 @@ def test_generated_scripts_carry_the_nef_rows():
         '    - {row: "2*a2 - a1 >= 0", note: "E2.Dbar >= 0", redundant: true}\n', "")
     findings = validate_fixture(load_fixture(bad))
     assert any("nef row" in f for f in findings)
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("tagged, problem", [
+    ("!!timestamp a3", "cannot construct tag:yaml.org,2002:timestamp 'a3'"),
+    ("!!bool maybe", "cannot construct tag:yaml.org,2002:bool 'maybe'"),
+    ("!!int x3", "cannot construct tag:yaml.org,2002:int 'x3'"),
+    ('!!int ""', "cannot construct tag:yaml.org,2002:int ''"),
+])
+def test_explicit_tag_on_a_bad_value_is_located_invalid_yaml(monkeypatch, loader, tagged, problem):
+    monkeypatch.setattr(model, "YAML_LOADER", loader)
+    text = Path(str(fixture_dir() / "a3.yaml")).read_text()
+    assert "\nname: a3\n" in text
+    with pytest.raises(ParseError) as info:
+        load_fixture(text.replace("\nname: a3\n", f"\nname: {tagged}\n"), name="a3")
+    message = str(info.value)
+    assert message.startswith(f"a3: invalid YAML: {problem}: ")
+    assert "line 5, column 7" in message
+
+
+@pytest.mark.parametrize("name, old, new, message", [
+    ("fiber_e6", "log_terminal: [true, true]", 'log_terminal: ["false", true]',
+     "fiber_e6: fiberwise.log_terminal[0]: expected true or false, got 'false'"),
+    ("fiber_e6", "log_terminal: [true, true]", "log_terminal: [true, 1]",
+     "fiber_e6: fiberwise.log_terminal[1]: expected true or false, got 1"),
+    ("fiber_e6", "log_terminal: [true, true]", "log_terminal: true",
+     "fiber_e6: fiberwise.log_terminal: expected a list, got True"),
+    ("a1", 'note: "D effective", redundant: true}', 'note: "D effective", redundant: "false"}',
+     "a1: script.blocks[1].branches[0][0].redundant: expected true or false, got 'false'"),
+])
+def test_boolean_fields_take_yaml_booleans_only(name, old, new, message):
+    text = Path(str(fixture_dir() / f"{name}.yaml")).read_text()
+    assert old in text
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load_fixture(text.replace(old, new, 1), name=name)
