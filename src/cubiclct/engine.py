@@ -9,7 +9,10 @@ exceptional divisors.
 Lower bounds are linear: each case script turns the geometric case
 analysis into systems of strict and non-strict inequalities over the
 rationals, with the threshold reciprocal modeled as a variable ``tau``
-bounded below by its closure value.  A script verifies when every leaf
+bounded below by its closure value.  A script is base rows plus blocks,
+and each block gives one leaf per alternative and branch; the branches of
+a ``generate`` block are the A_n adjunction case tree that ``model``
+expanded when it loaded the fixture.  A script verifies when every leaf
 system is infeasible, each with a replayable Farkas certificate.  The
 non-linear localization steps (connectedness, degree bounds, convexity
 choices) are recorded as tagged assumptions; where their arithmetic core
@@ -22,21 +25,16 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction as Rat
 
-from cubiclct.lattice import (ResolutionLattice, pullback_coefficients,
-                              tower_log_discrepancy)
+from cubiclct.lattice import pullback_coefficients, tower_log_discrepancy
 from cubiclct.linsys import (Feasible, Infeasible, InfeasibilityCertificate,
                              LinearSystem, Row, check_feasibility)
-from cubiclct.model import (Alternative, Branch, CaseFixture, ProofScript,
-                            ScriptRow, SingularityProfile, SurfaceModel, Witness)
+from cubiclct.model import (Alternative, CaseFixture, ProofScript, ScriptRow,
+                            SingularityProfile, SurfaceModel, Witness)
 from cubiclct.qexact import format_rat
 
 
 class NotSNC(ValueError):
     """Witness declares unresolved tangencies but ships no blowup tower."""
-
-
-class UnsupportedProfile(ValueError):
-    """Case-tree generation only covers single A_n chains."""
 
 
 class Inconsistent(ValueError):
@@ -142,51 +140,6 @@ def _tau_row(script: ProofScript) -> ScriptRow:
                      note="closure tau >= 1/omega")
 
 
-def generate_case_tree(lattice: ResolutionLattice, script: ProofScript) -> tuple[Branch, ...]:
-    """Adjunction case split for one A_n chain: one branch per interior
-    segment (``Cartan_j . a > tau``) and one per double point
-    (``Cartan_j . a > tau - a_{j+1}`` and ``Cartan_{j+1} . a > tau - a_j``),
-    in chain order: E1 interior, E1^E2, E2 interior, ...
-    """
-    if lattice.ade.family != "A":
-        raise UnsupportedProfile(f"case generation needs an A_n chain, got {lattice.ade}")
-    n = lattice.rank
-    variables = script.variables
-    if "tau" not in variables:
-        raise UnsupportedProfile("script variables must include tau")
-
-    def avar(j: int) -> str:
-        return f"a{j}"
-
-    def cartan_coeffs(j: int, extra: dict[str, Rat]) -> tuple[Rat, ...]:
-        form = {avar(j): Rat(2)}
-        if j > 1:
-            form[avar(j - 1)] = Rat(-1)
-        if j < n:
-            form[avar(j + 1)] = Rat(-1)
-        form["tau"] = Rat(-1)
-        for var, c in extra.items():
-            form[var] = form.get(var, Rat(0)) + c
-        return tuple(form.get(v, Rat(0)) for v in variables)
-
-    def mk(name: str, j: int, extra: dict[str, Rat], text: str) -> ScriptRow:
-        return ScriptRow(text, Row(cartan_coeffs(j, extra), Rat(0), ">", name), note=name)
-
-    branches = []
-    for j in range(1, n + 1):
-        text = f"cartan({j}).a > tau"
-        branches.append(Branch(
-            f"Q in E{j} interior",
-            (mk(f"adjunction on E{j}, no neighbor through Q", j, {}, text),)))
-        if j < n:
-            r1 = mk(f"adjunction on E{j} at E{j}^E{j+1}", j,
-                    {avar(j + 1): Rat(1)}, f"cartan({j}).a > tau - a{j+1}")
-            r2 = mk(f"adjunction on E{j+1} at E{j}^E{j+1}", j + 1,
-                    {avar(j): Rat(1)}, f"cartan({j+1}).a > tau - a{j}")
-            branches.append(Branch(f"Q = E{j} meet E{j+1}", (r1, r2)))
-    return tuple(branches)
-
-
 def materialize_leaves(fixture: CaseFixture) -> list[Leaf]:
     """Expand a script into its leaf row-sets (deterministic order)."""
     script = fixture.script
@@ -194,23 +147,15 @@ def materialize_leaves(fixture: CaseFixture) -> list[Leaf]:
         return []
     tau = _tau_row(script)
     leaves: list[Leaf] = []
-    if script.mode == "generated":
-        lattice = fixture.model.lattice(script.point)
-        branches = generate_case_tree(lattice, script)
-        alts = script.alternatives or (Alternative("", ()),)
-        for alt in alts:
-            for br in branches:
-                name = f"{alt.name}: {br.name}" if alt.name else br.name
-                leaves.append(Leaf(name, (tau,) + script.base_rows + alt.rows + br.rows))
-    else:
-        for block in script.blocks:
-            alts = block.alternatives or (Alternative("", ()),)
-            for alt in alts:
-                for br in block.branches:
-                    parts = [p for p in (block.name, alt.name, br.name) if p]
-                    leaves.append(Leaf(" / ".join(parts),
-                                       (tau,) + script.base_rows + block.rows
-                                       + alt.rows + br.rows))
+    for block in script.blocks:
+        for alt in block.alternatives or (Alternative("", ()),):
+            for br in block.branches:
+                if block.name:
+                    name = " / ".join(p for p in (block.name, alt.name, br.name) if p)
+                else:
+                    name = f"{alt.name}: {br.name}" if alt.name else br.name
+                leaves.append(Leaf(name, (tau,) + script.base_rows + block.rows
+                                   + alt.rows + br.rows))
     return leaves
 
 
@@ -357,16 +302,14 @@ class MutationRecord:
 
 def _authored_rows(fixture: CaseFixture) -> list[tuple[str, ScriptRow]]:
     script = fixture.script
-    rows: list[tuple[str, ScriptRow]] = []
-    rows.extend(("base", r) for r in script.base_rows)
-    for alt in script.alternatives:
-        rows.extend((f"alt:{alt.name}", r) for r in alt.rows)
+    rows: list[tuple[str, ScriptRow]] = [("base", r) for r in script.base_rows]
     for block in script.blocks:
         rows.extend((f"block:{block.name}", r) for r in block.rows)
         for alt in block.alternatives:
             rows.extend((f"block:{block.name}/alt:{alt.name}", r) for r in alt.rows)
-        for br in block.branches:
-            rows.extend((f"block:{block.name}/branch:{br.name}", r) for r in br.rows)
+        if block.generate is None:
+            for br in block.branches:
+                rows.extend((f"block:{block.name}/branch:{br.name}", r) for r in br.rows)
     return rows
 
 
@@ -376,8 +319,8 @@ def mutation_audit(fixture: CaseFixture) -> list[MutationRecord]:
     Rows whose deletion leaves every leaf infeasible are operationally
     redundant; fixtures must declare exactly those with ``redundant: true``
     so every undeclared row is guaranteed to carry weight in some leaf.
-    Machine-generated branch rows (generated mode) are audited too but
-    reported with ``authored=False``.
+    The branch rows of a ``generate`` block are audited too but reported
+    with ``authored=False``.
 
     Each leaf is solved once.  By Farkas' lemma, a leaf whose certificate
     gives the deleted row a zero multiplier stays infeasible (the same
@@ -410,12 +353,11 @@ def mutation_audit(fixture: CaseFixture) -> list[MutationRecord]:
         seen.add(id(row))
         records.append(MutationRecord(location, row.text, row.redundant, True,
                                       flips_without(row)))
-    if script.mode == "generated":
-        for leaf, _ in solved:
-            for row in leaf.rows:
-                if id(row) in seen or row.note == "closure tau >= 1/omega":
-                    continue
-                seen.add(id(row))
-                records.append(MutationRecord(f"generated:{leaf.name}", row.text,
-                                              False, False, flips_without(row)))
+    for leaf, _ in solved:
+        for row in leaf.rows:
+            if id(row) in seen or row.note == "closure tau >= 1/omega":
+                continue
+            seen.add(id(row))
+            records.append(MutationRecord(f"generated:{leaf.name}", row.text,
+                                          False, False, flips_without(row)))
     return records

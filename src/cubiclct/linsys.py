@@ -126,9 +126,6 @@ class LinearSystem:
             if len(row.coeffs) != len(self.variables):
                 raise DimensionMismatch("row width does not match variable count")
 
-    def with_row(self, row: Row) -> "LinearSystem":
-        return LinearSystem(self.variables, self.rows + (row,))
-
     def var_index(self, name: str) -> int:
         try:
             return self.variables.index(name)

@@ -3,6 +3,9 @@
 All case-specific geometry (line counts, incidences, linear equivalences,
 conic tests) lives in reviewable YAML files with per-field citations in
 comments; this module only parses, cross-references and validates them.
+A proof script is base rows plus blocks.  A block lists its branches, or
+names an A_n point with ``generate: <point>``; the loader expands that into
+the point's adjunction case tree (``generate_case_tree``) once.
 The transcription is the risk, so validation is deliberately aggressive:
 besides structural checks it runs an exact intersection-number audit
 (``-K . X`` recomputed through every declared equivalence) that catches
@@ -156,10 +159,11 @@ class Branch:
 
 @dataclass(frozen=True)
 class Block:
-    name: str
+    name: str                       # "" for an unnamed block
     rows: tuple[ScriptRow, ...]
     alternatives: tuple[Alternative, ...]
     branches: tuple[Branch, ...]
+    generate: str | None            # the A_n point whose case tree gave ``branches``
 
 
 @dataclass(frozen=True)
@@ -171,13 +175,10 @@ class Assumption:
 
 @dataclass(frozen=True)
 class ProofScript:
-    mode: str                       # generated | transcribed
     tau_floor: Rat
     variables: tuple[str, ...]
     base_rows: tuple[ScriptRow, ...]
-    point: str | None = None        # generated mode: which singular point
-    alternatives: tuple[Alternative, ...] = ()   # generated mode OR-level
-    blocks: tuple[Block, ...] = ()               # transcribed mode
+    blocks: tuple[Block, ...]
     assumptions: tuple[Assumption, ...] = ()
 
 
@@ -227,17 +228,28 @@ class CaseFixture:
 
 
 def _req(mapping: dict, key: str, ctx: str):
-    if key not in mapping:
+    if key not in _shaped(mapping, dict, ctx):
         raise ParseError(f"{ctx}: missing key {key!r}")
     return mapping[key]
 
 
-def _shaped(value, kind: type, where: str):
-    """``value`` when it is a ``kind`` (dict or list), else a located ParseError."""
+def _shaped(value, kind: type, where: str, length: int | None = None):
+    """``value`` when it is a ``kind`` (dict or list) of ``length`` entries if one
+    is given, else a located ParseError."""
     if not isinstance(value, kind):
         expected = "mapping" if kind is dict else "list"
         raise ParseError(f"{where}: expected a {expected}, got {value!r}")
+    if length is not None and len(value) != length:
+        raise ParseError(f"{where}: expected {length} entries, got {len(value)}")
     return value
+
+
+def _known(spec: dict, keys: tuple[str, ...], where: str) -> dict:
+    """``spec`` when it is a mapping that uses no key besides ``keys``."""
+    unknown = [k for k in _shaped(spec, dict, where) if k not in keys]
+    if unknown:
+        raise ParseError(f"{where}: unknown key {unknown[0]!r}")
+    return spec
 
 
 def _scalar(convert, value, where: str):
@@ -250,7 +262,7 @@ def _scalar(convert, value, where: str):
 
 def _parse_script_rows(items, variables, ctx) -> tuple[ScriptRow, ...]:
     rows = []
-    for i, item in enumerate(items or []):
+    for i, item in enumerate(_shaped(items or [], list, ctx)):
         where = f"{ctx}[{i}]"
         if isinstance(item, str):
             text, note, redundant = item, "", False
@@ -267,22 +279,90 @@ def _parse_script_rows(items, variables, ctx) -> tuple[ScriptRow, ...]:
 
 def _parse_alternatives(items, variables, ctx) -> tuple[Alternative, ...]:
     alts = []
-    for i, item in enumerate(items or []):
+    for i, item in enumerate(_shaped(items or [], list, ctx)):
         where = f"{ctx}[{i}]"
         name = _req(item, "name", where)
         alts.append(Alternative(name, _parse_script_rows(item.get("rows"), variables, where)))
     return tuple(alts)
 
 
+def generate_case_tree(lattice: ResolutionLattice,
+                       variables: tuple[str, ...]) -> tuple[Branch, ...]:
+    """Adjunction case split for one A_n chain: one branch per interior
+    segment (``Cartan_j . a > tau``) and one per double point
+    (``Cartan_j . a > tau - a_{j+1}`` and ``Cartan_{j+1} . a > tau - a_j``),
+    in chain order: E1 interior, E1^E2, E2 interior, ...
+
+    ``variables`` must hold ``tau`` and ``a1`` .. ``an``; a ParseError if not,
+    or if ``lattice`` is not an A_n chain.
+    """
+    if lattice.ade.family != "A":
+        raise ParseError(f"case generation needs an A_n point, got {lattice.ade.label}")
+    n = lattice.rank
+    missing = [v for v in [f"a{j}" for j in range(1, n + 1)] + ["tau"] if v not in variables]
+    if missing:
+        raise ParseError(f"script variables lack {', '.join(missing)}")
+
+    def row(j: int, through: int | None, name: str) -> ScriptRow:
+        """``Cartan_j . a > tau``, less the term of neighbour ``through`` on both sides."""
+        form = {f"a{j}": Rat(2), "tau": Rat(-1)}
+        form.update((f"a{k}", Rat(-1)) for k in (j - 1, j + 1) if 1 <= k <= n and k != through)
+        text = f"cartan({j}).a > tau" + (f" - a{through}" if through else "")
+        coeffs = tuple(form.get(v, Rat(0)) for v in variables)
+        return ScriptRow(text, Row(coeffs, Rat(0), ">", name), note=name)
+
+    branches = []
+    for j in range(1, n + 1):
+        branches.append(Branch(f"Q in E{j} interior",
+                               (row(j, None, f"adjunction on E{j}, no neighbor through Q"),)))
+        if j < n:
+            meet = f"E{j}^E{j+1}"
+            branches.append(Branch(f"Q = E{j} meet E{j+1}",
+                                   (row(j, j + 1, f"adjunction on E{j} at {meet}"),
+                                    row(j + 1, j, f"adjunction on E{j+1} at {meet}"))))
+    return tuple(branches)
+
+
+def _parse_block(spec, variables, lattices: dict[str, ResolutionLattice], ctx) -> Block:
+    """One script block; ``generate: <point>`` expands to that point's case tree."""
+    _known(spec, ("name", "rows", "alternatives", "branches", "generate"), ctx)
+    point = spec.get("generate")
+    if point is None:
+        branches = tuple(
+            Branch(_req(br, "name", f"{ctx}.branches[{j}]"),
+                   _parse_script_rows(br.get("rows"), variables, f"{ctx}.branches[{j}]"))
+            for j, br in enumerate(_shaped(_req(spec, "branches", ctx), list,
+                                           f"{ctx}.branches")))
+    elif "branches" in spec:
+        raise ParseError(f"{ctx}: a block gives branches or generate, not both")
+    elif point not in list(lattices):   # a list: an unhashable value is only unknown
+        raise DanglingReference(f"{ctx}.generate: unknown point {point!r}")
+    else:
+        branches = _scalar(lambda lat: generate_case_tree(lat, variables), lattices[point],
+                           f"{ctx}.generate")
+    return Block(spec.get("name", ""),
+                 _parse_script_rows(spec.get("rows"), variables, f"{ctx}.rows"),
+                 _parse_alternatives(spec.get("alternatives"), variables, f"{ctx}.alternatives"),
+                 branches, point)
+
+
 def _parse_assumptions(items, variables, ctx) -> tuple[Assumption, ...]:
     out = []
-    for i, item in enumerate(items or []):
+    for i, item in enumerate(_shaped(items or [], list, ctx)):
         where = f"{ctx}[{i}]"
         out.append(Assumption(
             _req(item, "tag", where),
             item.get("note", ""),
             _parse_script_rows(item.get("exclusion_rows"), variables, where)))
     return tuple(out)
+
+
+def _strings(value, where: str, length: int | None = None) -> tuple[str, ...]:
+    """A YAML list of strings, shaped as by ``_shaped``; a bare string is never split."""
+    for i, item in enumerate(_shaped(value, list, where, length)):
+        if not isinstance(item, str):
+            raise ParseError(f"{where}[{i}]: expected a string, got {item!r}")
+    return tuple(value)
 
 
 def _integer(value) -> int:
@@ -517,41 +597,24 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
                 tower_points.append((sname, spoint))
             tower = BlowupTower(tuple(steps))
         witness = Witness(boundary, tower, tuple(tower_points),
-                          tuple(wspec.get("tangencies") or ()))
+                          _strings(wspec.get("tangencies") or [], "witness.tangencies"))
 
     script = None
     if "script" in doc and doc["script"] is not None:
-        sspec = doc["script"]
-        mode = _req(sspec, "mode", "script")
-        if mode not in ("generated", "transcribed"):
-            raise ParseError(f"script.mode: bad mode {mode!r}")
-        variables = tuple(_req(sspec, "variables", "script"))
+        sspec = _known(doc["script"], ("tau_floor", "variables", "base_rows", "blocks",
+                                       "assumptions"), "script")
+        variables = _strings(_req(sspec, "variables", "script"), "script.variables")
+        if len(set(variables)) != len(variables):
+            raise ParseError(f"script.variables: repeated name in {list(variables)}")
         tau_floor = _scalar(parse_rat, _req(sspec, "tau_floor", "script"), "script.tau_floor")
         base_rows = _parse_script_rows(sspec.get("base_rows"), variables, "script.base_rows")
-        point = sspec.get("point")
-        if mode == "generated":
-            if point is None:
-                raise ParseError("script: generated mode needs a point")
-            if point not in point_ids:
-                raise DanglingReference(f"script.point: unknown point {point!r}")
-        alternatives = _parse_alternatives(sspec.get("alternatives"), variables,
-                                           "script.alternatives")
-        blocks = []
-        for i, bspec in enumerate(sspec.get("blocks") or []):
-            ctx = f"script.blocks[{i}]"
-            branches = tuple(
-                Branch(_req(br, "name", f"{ctx}.branches[{j}]"),
-                       _parse_script_rows(br.get("rows"), variables, f"{ctx}.branches[{j}]"))
-                for j, br in enumerate(_req(bspec, "branches", ctx)))
-            blocks.append(Block(
-                bspec.get("name", f"block{i}"),
-                _parse_script_rows(bspec.get("rows"), variables, ctx),
-                _parse_alternatives(bspec.get("alternatives"), variables, ctx),
-                branches))
-        if mode == "transcribed" and not blocks:
-            raise ParseError("script: transcribed mode needs blocks")
-        script = ProofScript(mode, tau_floor, variables, base_rows, point,
-                             alternatives, tuple(blocks),
+        lattices = {pid: lat for pid, lat, _ in points}
+        blocks = tuple(_parse_block(bspec, variables, lattices, f"script.blocks[{i}]")
+                       for i, bspec in enumerate(_shaped(sspec.get("blocks") or [], list,
+                                                         "script.blocks")))
+        if not blocks:   # a script without leaves would verify vacuously
+            raise ParseError("script: needs at least one block")
+        script = ProofScript(tau_floor, variables, base_rows, blocks,
                              _parse_assumptions(sspec.get("assumptions"), variables,
                                                 "script.assumptions"))
 
@@ -583,8 +646,13 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
     fiberwise = None
     if "fiberwise" in doc and doc["fiberwise"] is not None:
         fspec = doc["fiberwise"]
-        lct_pair = tuple(_scalar(parse_rat, v, "fiberwise.lct_pair")
-                         for v in _req(fspec, "lct_pair", "fiberwise"))
+        lct_pair = tuple(_scalar(parse_rat, v, f"fiberwise.lct_pair[{i}]") for i, v in
+                         enumerate(_shaped(_req(fspec, "lct_pair", "fiberwise"), list,
+                                           "fiberwise.lct_pair", 2)))
+        verdict = _req(fspec, "expected_verdict", "fiberwise")
+        if verdict not in ("Biregular", "Inconclusive"):
+            raise ParseError("fiberwise.expected_verdict: expected Biregular or "
+                             f"Inconclusive, got {verdict!r}")
         given = [k for k in ("source_poly", "target_poly", "map") if fspec.get(k) is not None]
         if len(given) in (1, 2):
             raise ParseError("fiberwise: source_poly, target_poly and map go together; "
@@ -600,9 +668,9 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
             lct_pair,
             tuple(_scalar(_boolean, b, f"fiberwise.log_terminal[{i}]") for i, b in
                   enumerate(_shaped(_req(fspec, "log_terminal", "fiberwise"), list,
-                                    "fiberwise.log_terminal"))),
-            _req(fspec, "expected_verdict", "fiberwise"),
-            tuple(_req(fspec, "fiber_profiles", "fiberwise")))
+                                    "fiberwise.log_terminal", 2))),
+            verdict,
+            _strings(_req(fspec, "fiber_profiles", "fiberwise"), "fiberwise.fiber_profiles", 2))
 
     model = SurfaceModel(profile, tuple((pid, lat) for pid, lat, _ in points),
                          tuple(curves), equivalences)
@@ -610,113 +678,6 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
                 if "expected_omega" in doc else None)
     return CaseFixture(doc.get("name", name), model, expected, witness, script,
                        group, fiberwise)
-
-
-def serialize_fixture(fixture: CaseFixture) -> str:
-    """Serialize back to the published YAML schema (round-trips exactly)."""
-    doc: dict = {"name": fixture.name,
-                 "profile": list(fixture.model.profile.entries)}
-    if fixture.expected_omega is not None:
-        doc["expected_omega"] = format_rat(fixture.expected_omega)
-    doc["points"] = {pid: {"type": lat.ade.label, "orientation": "standard"}
-                     for pid, lat in fixture.model.points}
-    doc["curves"] = []
-    for c in fixture.model.curves:
-        spec: dict = {"id": c.id, "kind": c.kind, "degree": c.degree}
-        if c.incidence:
-            spec["incidence"] = {pid: list(vec) for pid, vec in c.incidence}
-        if c.pairwise:
-            spec["pairwise"] = {o: format_rat(v) for o, v in c.pairwise}
-        doc["curves"].append(spec)
-    doc["equivalences"] = [[[format_rat(m), cid] for m, cid in eq.terms]
-                           for eq in fixture.model.equivalences]
-
-    if fixture.witness is not None:
-        w: dict = {"divisor": [[format_rat(m), cid] for m, cid in fixture.witness.boundary.terms]}
-        if fixture.witness.tower is not None:
-            pts = dict(fixture.witness.tower_points)
-            w["tower"] = [
-                {"name": s.name, "point": pts[s.name],
-                 "through": ([{"curve": c, "mult": m} for c, m in s.strict_curves]
-                             + [{"exceptional": e} for e in s.exceptionals])}
-                for s in fixture.witness.tower.steps]
-        if fixture.witness.tangencies:
-            w["tangencies"] = list(fixture.witness.tangencies)
-        doc["witness"] = w
-
-    def dump_rows(rows):
-        out = []
-        for r in rows:
-            if r.note or r.redundant:
-                item = {"row": r.text}
-                if r.note:
-                    item["note"] = r.note
-                if r.redundant:
-                    item["redundant"] = True
-                out.append(item)
-            else:
-                out.append(r.text)
-        return out
-
-    if fixture.script is not None:
-        s = fixture.script
-        spec = {"mode": s.mode, "tau_floor": format_rat(s.tau_floor),
-                "variables": list(s.variables),
-                "base_rows": dump_rows(s.base_rows)}
-        if s.point:
-            spec["point"] = s.point
-        if s.alternatives:
-            spec["alternatives"] = [{"name": a.name, "rows": dump_rows(a.rows)}
-                                    for a in s.alternatives]
-        if s.blocks:
-            spec["blocks"] = [
-                {"name": b.name,
-                 **({"rows": dump_rows(b.rows)} if b.rows else {}),
-                 **({"alternatives": [{"name": a.name, "rows": dump_rows(a.rows)}
-                                      for a in b.alternatives]} if b.alternatives else {}),
-                 "branches": [{"name": br.name, "rows": dump_rows(br.rows)}
-                              for br in b.branches]}
-                for b in s.blocks]
-        if s.assumptions:
-            spec["assumptions"] = [
-                {"tag": a.tag, "note": a.note,
-                 **({"exclusion_rows": dump_rows(a.exclusion_rows)}
-                    if a.exclusion_rows else {})}
-                for a in s.assumptions]
-        doc["script"] = spec
-
-    if fixture.group is not None:
-        g = fixture.group
-        doc["group"] = {
-            "name": g.name, "declared_order": g.declared_order,
-            "expected_image_order": g.expected_image_order,
-            "generators": [{"name": gen.name, "lines": dict(gen.lines),
-                            **({"points": dict(gen.points)} if gen.points else {})}
-                           for gen in g.generators],
-            "invariant_divisor": [[format_rat(m), cid] for m, cid in g.invariant_divisor],
-            **({"extra_degrees": dict(g.extra_degrees)} if g.extra_degrees else {}),
-            "elimination": {"conic_residual_pairs": g.conic_residual_pairs},
-            **({"assumptions": [{"tag": a.tag, "note": a.note} for a in g.assumptions]}
-               if g.assumptions else {}),
-        }
-
-    if fixture.fiberwise is not None:
-        f = fixture.fiberwise
-        spec = {"lct_pair": [format_rat(v) for v in f.lct_pair],
-                "log_terminal": list(f.log_terminal),
-                "expected_verdict": f.expected_verdict,
-                "fiber_profiles": list(f.fiber_profiles)}
-        if f.source_poly is not None:
-            spec["source_poly"] = [[format_rat(c), list(e)] for c, e in f.source_poly]
-        if f.target_poly is not None:
-            spec["target_poly"] = [[format_rat(c), list(e)] for c, e in f.target_poly]
-        if f.map_powers is not None:
-            spec["map"] = dict(f.map_powers)
-        if f.expected_k is not None:
-            spec["expected_k"] = f.expected_k
-        doc["fiberwise"] = spec
-
-    return yaml.safe_dump(doc, sort_keys=False, allow_unicode=True)
 
 
 # --- validation ---------------------------------------------------------------
@@ -821,13 +782,13 @@ def validate_fixture(fixture: CaseFixture) -> list[str]:
             findings.append(
                 f"script: tau_floor {format_rat(script.tau_floor)} is not the "
                 f"reciprocal of expected_omega {format_rat(fixture.expected_omega)}")
-    if script is not None and script.mode == "generated":
-        lat = model.lattice(script.point)
-        nef = exceptional_nef_rows(lat)
+    if script is not None:
         base = {(r.row.coeffs, r.row.constant, r.row.relation) for r in script.base_rows}
-        for j, form in enumerate(nef):
-            coeffs = tuple(form.get(v, Rat(0)) for v in script.variables)
-            if (coeffs, Rat(0), ">=") not in base:
-                findings.append(f"script: nef row for node {j+1} missing or mistyped")
+        for point in dict.fromkeys(b.generate for b in script.blocks if b.generate):
+            for j, form in enumerate(exceptional_nef_rows(model.lattice(point))):
+                coeffs = tuple(form.get(v, Rat(0)) for v in script.variables)
+                if (coeffs, Rat(0), ">=") not in base:
+                    findings.append(f"script: nef row for node {j+1} at {point} "
+                                    "missing or mistyped")
 
     return findings

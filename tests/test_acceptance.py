@@ -11,7 +11,7 @@ from fractions import Fraction as Rat
 from cubiclct import engine
 from cubiclct.cli import case_fixtures, fixture_dir, load_all_fixtures
 from cubiclct.engine import (assemble_table, classify_profile, compute_case_threshold,
-                             generate_case_tree, ke_criterion, mutation_audit)
+                             ke_criterion, mutation_audit)
 from cubiclct.equivariant import invariant_threshold
 from cubiclct.fiberwise import Poly, SubstitutionMap, biregularity_criterion, \
     substitute_and_factor
@@ -19,8 +19,7 @@ from cubiclct.lattice import AdeType, ResolutionLattice, cartan_matrix, \
     pullback_coefficients
 from cubiclct.linsys import Feasible, Infeasible, LinearSystem, Row, \
     check_feasibility, parse_row, replay_certificate
-from cubiclct.model import (ADMISSIBLE_PROFILES, SingularityProfile, load_fixture,
-                            serialize_fixture)
+from cubiclct.model import ADMISSIBLE_PROFILES, SingularityProfile, generate_case_tree
 from cubiclct.qexact import is_positive_definite
 from oracles import feasible_by_vertex_enumeration
 
@@ -125,9 +124,8 @@ def test_criterion_4_generated_case_lists():
         ade = AdeType.parse(label)
         lattice = ResolutionLattice(ade)
         variables = tuple(f"a{i+1}" for i in range(ade.rank)) + ("tau",)
-        script = engine.ProofScript("generated", Rat(tau), variables, (), "O")
         out = []
-        for br in generate_case_tree(lattice, script):
+        for br in generate_case_tree(lattice, variables):
             sys = LinearSystem(variables, tuple(r.row for r in br.rows))
             sys = sys.substitute("tau", Rat(tau))
             out.append(tuple((r.coeffs, r.constant, r.relation) for r in sys.rows))
@@ -150,10 +148,28 @@ def test_criterion_4_generated_case_lists():
         ["2*a5 - a4 > 4"],
     ]
     assert systems("A5", 4) == expected(a5_reference, ("a1", "a2", "a3", "a4", "a5"))
+    a4_reference = [
+        ["2*a1 - a2 > 3"],
+        ["2*a1 > 3", "2*a2 - a3 > 3"],
+        ["2*a2 - a1 - a3 > 3"],
+        ["2*a2 - a1 > 3", "2*a3 - a4 > 3"],
+        ["2*a3 - a2 - a4 > 3"],
+        ["2*a3 - a2 > 3", "2*a4 > 3"],
+        ["2*a4 - a3 > 3"],
+    ]
+    assert systems("A4", 3) == expected(a4_reference, ("a1", "a2", "a3", "a4"))
+    a3_reference = [
+        ["2*a1 - a2 > 2"],
+        ["2*a1 > 2", "2*a2 - a3 > 2"],
+        ["2*a2 - a1 - a3 > 2"],
+        ["2*a2 - a1 > 2", "2*a3 > 2"],
+        ["2*a3 - a2 > 2"],
+    ]
+    assert systems("A3", 2) == expected(a3_reference, ("a1", "a2", "a3"))
     a2_reference = [["2*a1 - a2 > 3"], ["2*a1 > 3", "2*a2 > 3"], ["2*a2 - a1 > 3"]]
     assert systems("A2", 3) == expected(a2_reference, ("a1", "a2"))
-    _report(4, "generated A5 (tau=4) and A2 (tau=3) case lists match the "
-               "transcribed displays verbatim")
+    _report(4, "generated A5 (tau=4), A4 (tau=3), A3 (tau=2) and A2 (tau=3) case "
+               "lists match the transcribed displays verbatim")
 
 
 def test_criterion_5_mutation_robustness():
@@ -249,9 +265,5 @@ def test_criterion_8_property_suites():
                 strict_zero_seen += 1
     assert strict_zero_seen > 0
 
-    # fixture round-trip serialization
-    for name, fixture in sorted(FIXTURES.items()):
-        assert load_fixture(serialize_fixture(fixture), name=fixture.name) == fixture
-
-    _report(8, "exact round trips, Cartan definiteness, closed form, "
-               "strictness propagation and fixture round-trips all green")
+    _report(8, "exact round trips, Cartan definiteness, closed form and "
+               "strictness propagation all green")

@@ -94,6 +94,8 @@ def test_malformed_curve_field_is_located_parse_error(capsys, tmp_path, field, m
      "error: a3: invalid YAML: cannot construct tag:yaml.org,2002:bool 'maybe'"),
     ("name: a3", "name: !!int x3",
      "error: a3: invalid YAML: cannot construct tag:yaml.org,2002:int 'x3'"),
+    ("- generate: O", "- generate: Q", "error: a3: script.blocks[0].generate: unknown point 'Q'"),
+    ('tau_floor: "2"', 'mode: generated\n  tau_floor: "2"', "error: a3: script: unknown key 'mode'"),
 ])
 def test_malformed_scalar_is_located_parse_error(capsys, tmp_path, old, new, message):
     _fixture_copy(tmp_path, "a3", old, new)
@@ -102,6 +104,27 @@ def test_malformed_scalar_is_located_parse_error(capsys, tmp_path, old, new, mes
     assert out == ""
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('lct_pair: ["1/6", "2/3"]', 'lct_pair: ["1/6", "2/3", "5"]',
+     "fiberwise.lct_pair: expected 2 entries, got 3"),
+    ("expected_verdict: Inconclusive", "expected_verdict: Inconclusiv",
+     "fiberwise.expected_verdict: expected Biregular or Inconclusive, got 'Inconclusiv'"),
+    ("expected_verdict: Inconclusive", "expected_verdict: [1, 2]",
+     "fiberwise.expected_verdict: expected Biregular or Inconclusive, got [1, 2]"),
+    ("fiber_profiles: [E6, smooth-eckardt]", "fiber_profiles: E6",
+     "fiberwise.fiber_profiles: expected a list, got 'E6'"),
+    ("fiber_profiles: [E6, smooth-eckardt]", "fiber_profiles: [E6]",
+     "fiberwise.fiber_profiles: expected 2 entries, got 1"),
+    ("log_terminal: [true, true]", "log_terminal: [true]",
+     "fiberwise.log_terminal: expected 2 entries, got 1"),
+], ids=["three lcts", "misspelt verdict", "list verdict", "profiles string", "one profile",
+        "one log_terminal"])
+def test_malformed_fiberwise_field_is_located_parse_error(capsys, tmp_path, old, new, message):
+    _fixture_copy(tmp_path, "fiber_e6", old, new)
+    code, out, err = run(capsys, "--fixtures", str(tmp_path), "fiberwise", "fiber_e6")
+    assert (code, out, err) == (2, "", f"error: fiber_e6: {message}\n")
 
 
 # (fixture, edit that leaves it loadable but invalid, command line)

@@ -4,14 +4,13 @@ import pytest
 
 from cubiclct import engine
 from cubiclct.cli import case_fixtures, fixture_dir, load_all_fixtures
-from cubiclct.engine import (Inconsistent, NotSNC, UnsupportedProfile,
-                             assemble_table, classify_profile,
-                             compute_case_threshold, generate_case_tree,
-                             ke_criterion, materialize_leaves, mutation_audit,
-                             witness_lct_upper)
+from cubiclct.engine import (Inconsistent, NotSNC, assemble_table, classify_profile,
+                             compute_case_threshold, ke_criterion, materialize_leaves,
+                             mutation_audit, witness_lct_upper)
 from cubiclct.lattice import AdeType, ResolutionLattice
 from cubiclct.linsys import Feasible, Infeasible, LinearSystem, check_feasibility, parse_row, replay_certificate
-from cubiclct.model import ADMISSIBLE_PROFILES, SingularityProfile, load_fixture
+from cubiclct.model import (ADMISSIBLE_PROFILES, ParseError, SingularityProfile,
+                            generate_case_tree, load_fixture)
 
 FIXTURES = load_all_fixtures(fixture_dir())
 CASES = case_fixtures(FIXTURES)
@@ -105,8 +104,7 @@ def _tree_systems(label, tau_floor):
     ade = AdeType.parse(label)
     lattice = ResolutionLattice(ade)
     variables = tuple(f"a{i+1}" for i in range(ade.rank)) + ("tau",)
-    script = engine.ProofScript("generated", Rat(tau_floor), variables, (), "O")
-    branches = generate_case_tree(lattice, script)
+    branches = generate_case_tree(lattice, variables)
     systems = []
     for br in branches:
         sys = LinearSystem(variables, tuple(r.row for r in br.rows))
@@ -159,36 +157,8 @@ def test_a1_case_tree_single_branch():
 
 def test_case_tree_rejects_non_chain():
     lattice = ResolutionLattice(AdeType("D", 4))
-    script = engine.ProofScript("generated", Rat(3), ("a1", "a2", "a3", "a4", "tau"),
-                                (), "O")
-    with pytest.raises(UnsupportedProfile):
-        generate_case_tree(lattice, script)
-
-
-def _row_as_dict(row, variables):
-    d = {v: c for v, c in zip(variables, row.coeffs) if c != 0}
-    return d, row.constant, row.relation
-
-
-@pytest.mark.parametrize("name,label", [
-    ("a5a1", "A5"), ("a4a1", "A4"), ("a3a1", "A3"), ("a3a1a1", "A3"),
-    ("a2a1", "A2"), ("a2a1a1", "A2"), ("a2a2a1", "A2"),
-])
-def test_transcribed_chain_blocks_equal_generated(name, label):
-    # the hand-copied "case analysis at O" branches must agree with the
-    # machine-generated chain case split
-    fixture = FIXTURES[name]
-    block = next(b for b in fixture.script.blocks if b.name == "case analysis at O")
-    ade = AdeType.parse(label)
-    lattice = ResolutionLattice(ade)
-    variables = tuple(f"a{i+1}" for i in range(ade.rank)) + ("tau",)
-    script = engine.ProofScript("generated", fixture.script.tau_floor, variables, (), "O")
-    generated = generate_case_tree(lattice, script)
-    assert len(block.branches) == len(generated)
-    for transcribed, machine in zip(block.branches, generated):
-        got = [_row_as_dict(r.row, fixture.script.variables) for r in transcribed.rows]
-        want = [_row_as_dict(r.row, variables) for r in machine.rows]
-        assert got == want, (name, transcribed.name)
+    with pytest.raises(ParseError, match="needs an A_n point, got D4"):
+        generate_case_tree(lattice, ("a1", "a2", "a3", "a4", "tau"))
 
 
 # --- lower bounds and case results ---------------------------------------------
@@ -240,7 +210,7 @@ def test_monotone_adding_rows_keeps_infeasible():
     for leaf in result.lower.leaves:
         system = leaf.system
         extra = parse_row("a1 + a2 <= 1", system.variables)
-        bigger = system.with_row(extra)
+        bigger = LinearSystem(system.variables, system.rows + (extra,))
         assert isinstance(check_feasibility(bigger), Infeasible)
 
 
@@ -272,9 +242,8 @@ def test_support_driven_audit_matches_brute_force():
     for key, fixture in sorted(CASES.items()):
         leaves = materialize_leaves(fixture)
         rows = {id(r): r for _, r in engine._authored_rows(fixture)}
-        if fixture.script.mode == "generated":
-            rows.update((id(r), r) for leaf in leaves for r in leaf.rows
-                        if id(r) not in rows and r.note != "closure tau >= 1/omega")
+        rows.update((id(r), r) for leaf in leaves for r in leaf.rows
+                    if id(r) not in rows and r.note != "closure tau >= 1/omega")
         records = mutation_audit(fixture)
         assert [r.text for r in records] == [r.text for r in rows.values()], key
         for record, row in zip(records, rows.values()):
