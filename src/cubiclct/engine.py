@@ -22,8 +22,8 @@ is linear it is checked as a small exclusion system.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
 from fractions import Fraction as Rat
+from typing import NamedTuple
 
 from cubiclct.lattice import pullback_coefficients, tower_log_discrepancy
 from cubiclct.linsys import (Feasible, Infeasible, InfeasibilityCertificate,
@@ -44,8 +44,7 @@ class Inconsistent(ValueError):
 # --- witness upper bounds ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UpperBound:
+class UpperBound(NamedTuple):
     value: Rat
     minima: tuple[str, ...]           # divisors attaining the minimum
     ratios: tuple[tuple[str, Rat], ...]
@@ -88,8 +87,8 @@ def witness_lct_upper(model: SurfaceModel, witness: Witness) -> UpperBound:
             pid = point_of[step.name]
             excs = tuple(e if ":" in e or e in point_of else f"{pid}:{e}"
                          for e in step.exceptionals)
-            steps.append(replace(step, exceptionals=excs))
-        results = tower_log_discrepancy(replace(witness.tower, steps=tuple(steps)),
+            steps.append(step._replace(exceptionals=excs))
+        results = tower_log_discrepancy(witness.tower._replace(steps=tuple(steps)),
                                         strict_mults, ord_by_node)
         for name, a_f, ord_f in results:
             if ord_f > 0:
@@ -105,29 +104,25 @@ def witness_lct_upper(model: SurfaceModel, witness: Witness) -> UpperBound:
 # --- proof scripts --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     name: str
     rows: tuple[ScriptRow, ...]
 
 
-@dataclass(frozen=True)
-class LeafResult:
+class LeafResult(NamedTuple):
     name: str
     system: LinearSystem
     certificate: InfeasibilityCertificate | None
     witness: dict[str, Rat] | None
 
 
-@dataclass(frozen=True)
-class AssumptionResult:
+class AssumptionResult(NamedTuple):
     tag: str
     note: str
     checked: bool | None   # None: purely cited; True/False: exclusion system verdict
 
 
-@dataclass(frozen=True)
-class LowerBoundResult:
+class LowerBoundResult(NamedTuple):
     verified: bool
     leaves: tuple[LeafResult, ...]
     assumptions: tuple[AssumptionResult, ...]
@@ -199,8 +194,7 @@ def verify_lower_bound_script(fixture: CaseFixture) -> LowerBoundResult:
 # --- case results and the table --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     profile: SingularityProfile
     omega_upper: Rat
     upper: UpperBound
@@ -238,16 +232,14 @@ def classify_profile(profile: SingularityProfile) -> tuple[str, Rat]:
     return next((c, omega) for c, omega, holds in _CLAUSES if holds(profile))
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     profile: str
     omega: Rat
     clause: str
     status: str        # verified | FAILED | paper-asserted
 
 
-@dataclass(frozen=True)
-class ThresholdTable:
+class ThresholdTable(NamedTuple):
     clauses: tuple[tuple[str, Rat], ...]
     rows: tuple[TableRow, ...]
 
@@ -291,8 +283,7 @@ def ke_criterion(lct_value: Rat, dimension: int) -> str:
 # --- mutation audit ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MutationRecord:
+class MutationRecord(NamedTuple):
     location: str
     text: str
     declared_redundant: bool

@@ -12,8 +12,8 @@ tags, not computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Rat
+from typing import NamedTuple
 
 from cubiclct.engine import ke_criterion
 from cubiclct.model import CaseFixture, GroupData
@@ -103,8 +103,7 @@ def invariant_upper_bound(group: GroupData, divisor: list[tuple[Rat, str]],
     return Rat(1)
 
 
-@dataclass(frozen=True)
-class EliminationTrace:
+class EliminationTrace(NamedTuple):
     orbit_sizes: tuple[int, ...]
     min_invariant_line_degree: int
     fixed_lines: tuple[str, ...]
@@ -138,8 +137,7 @@ def eliminate_invariant_curves(group: GroupData, line_labels: list[str]) -> Elim
         f"{min_union}, and no fixed line exists to pair with an invariant conic")
 
 
-@dataclass(frozen=True)
-class InvariantResult:
+class InvariantResult(NamedTuple):
     group_name: str
     image_order: int
     lct: Rat | None          # None when only the upper bound stands

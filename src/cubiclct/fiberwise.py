@@ -10,8 +10,8 @@ pure power of ``t``, and that exponent is computed exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Rat
+from typing import NamedTuple
 
 VARIABLES = ("x", "y", "z", "w", "t")
 T_INDEX = 4
@@ -21,8 +21,7 @@ class NoFactorization(ValueError):
     """No k >= 0 with target∘map = t^k * source."""
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(NamedTuple):
     """Sparse polynomial in (x, y, z, w, t); no zero coefficients stored."""
 
     terms: tuple[tuple[tuple[int, ...], Rat], ...]
@@ -39,9 +38,6 @@ class Poly:
         cleaned = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
         return Poly(cleaned)
 
-    def scale(self, factor: Rat) -> "Poly":
-        return Poly.from_terms([(c * factor, e) for e, c in self.terms])
-
     def shift_t(self, k: int) -> "Poly":
         return Poly.from_terms(
             [(c, e[:T_INDEX] + (e[T_INDEX] + k,)) for e, c in self.terms])
@@ -52,8 +48,7 @@ class Poly:
         return min(e[T_INDEX] for e, _ in self.terms)
 
 
-@dataclass(frozen=True)
-class SubstitutionMap:
+class SubstitutionMap(NamedTuple):
     """Each projective coordinate goes to t^e times itself."""
 
     powers: tuple[int, ...]  # t-exponent for (x, y, z, w)
@@ -87,8 +82,7 @@ def substitute_and_factor(target: Poly, mapping: SubstitutionMap, source: Poly) 
     return k
 
 
-@dataclass(frozen=True)
-class BiregularityVerdict:
+class BiregularityVerdict(NamedTuple):
     verdict: str      # "Biregular" | "Inconclusive"
     clause: str
 

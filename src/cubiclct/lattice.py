@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Rat
+from typing import NamedTuple
 
 from cubiclct.qexact import QMatrix, solve_linear_system
 
@@ -33,6 +34,7 @@ class MalformedTower(ValueError):
     """A blowup step references a divisor that does not exist yet."""
 
 
+# A dataclass, not a NamedTuple: it checks its family and rank.
 @dataclass(frozen=True)
 class AdeType:
     family: str
@@ -90,8 +92,7 @@ def cartan_matrix(ade: AdeType) -> QMatrix:
     return QMatrix.from_rows(rows)
 
 
-@dataclass(frozen=True)
-class ResolutionLattice:
+class ResolutionLattice(NamedTuple):
     """Exceptional lattice of the crepant resolution over one singular point."""
 
     ade: AdeType
@@ -108,8 +109,7 @@ class ResolutionLattice:
         return cartan_matrix(self.ade)
 
 
-@dataclass(frozen=True)
-class PullbackVector:
+class PullbackVector(NamedTuple):
     """Coefficients c with Cartan . c = incidence, for one curve at one point."""
 
     curve: str
@@ -146,8 +146,7 @@ def exceptional_nef_rows(lattice: ResolutionLattice) -> list[dict[str, Rat]]:
     return forms
 
 
-@dataclass(frozen=True)
-class TowerStep:
+class TowerStep(NamedTuple):
     """One blowup: the center is named by the divisors passing through it."""
 
     name: str
@@ -155,8 +154,7 @@ class TowerStep:
     exceptionals: tuple[str, ...]               # ADE node ids or earlier step names
 
 
-@dataclass(frozen=True)
-class BlowupTower:
+class BlowupTower(NamedTuple):
     steps: tuple[TowerStep, ...]
 
 

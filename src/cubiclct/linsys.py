@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Rat
 from functools import cached_property
 from math import gcd, lcm
+from typing import NamedTuple
 
 from cubiclct.qexact import format_rat, parse_rat
 
@@ -60,6 +61,7 @@ class SelfCheckFailed(RuntimeError):
     """check_feasibility produced a witness or certificate that does not check."""
 
 
+# A dataclass, not a NamedTuple: it checks its relation and caches ``primitive``.
 @dataclass(frozen=True)
 class Row:
     coeffs: tuple[Rat, ...]
@@ -95,10 +97,6 @@ class Row:
         bound = self.constant.numerator * (den // self.constant.denominator)
         return value > bound if self.relation == ">" else value >= bound
 
-    def constant_holds(self) -> bool:
-        zero = Rat(0)
-        return zero > self.constant if self.relation == ">" else zero >= self.constant
-
     def pretty(self, variables: tuple[str, ...]) -> str:
         terms = []
         for c, v in zip(self.coeffs, variables):
@@ -116,6 +114,7 @@ class Row:
         return f"{lhs} {self.relation} {format_rat(self.constant)}"
 
 
+# A dataclass, not a NamedTuple: it checks every row's width.
 @dataclass(frozen=True)
 class LinearSystem:
     variables: tuple[str, ...]
@@ -170,8 +169,7 @@ class LinearSystem:
         return LinearSystem(variables, rows)
 
 
-@dataclass(frozen=True)
-class InfeasibilityCertificate:
+class InfeasibilityCertificate(NamedTuple):
     """Nonnegative multipliers combining rows into an explicit contradiction."""
 
     multipliers: tuple[Rat, ...]
@@ -196,13 +194,11 @@ class InfeasibilityCertificate:
                 parse_rat(derived["constant"]), derived["relation"]))
 
 
-@dataclass(frozen=True)
-class Feasible:
+class Feasible(NamedTuple):
     witness: dict[str, Rat]
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(NamedTuple):
     certificate: InfeasibilityCertificate
 
 

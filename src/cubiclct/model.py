@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections.abc import Hashable
 from dataclasses import dataclass
 from fractions import Fraction as Rat
+from typing import NamedTuple
 
 import yaml
 
@@ -53,6 +54,7 @@ def profile_key(labels: list[str]) -> str:
     return "+".join(t.label for t in parsed)
 
 
+# A dataclass, not a NamedTuple: its ``count`` would shadow ``tuple.count``.
 @dataclass(frozen=True)
 class SingularityProfile:
     entries: tuple[str, ...]  # ADE labels, canonical order
@@ -73,8 +75,7 @@ class SingularityProfile:
         return self.key
 
 
-@dataclass(frozen=True)
-class NamedCurve:
+class NamedCurve(NamedTuple):
     id: str
     kind: str                       # line | conic | cubic
     degree: int
@@ -94,8 +95,7 @@ class NamedCurve:
         return None
 
 
-@dataclass(frozen=True)
-class BoundaryDivisor:
+class BoundaryDivisor(NamedTuple):
     terms: tuple[tuple[Rat, str], ...]
 
     def degree(self, curves: dict[str, NamedCurve]) -> Rat:
@@ -105,8 +105,7 @@ class BoundaryDivisor:
         return sum((m for m, c in self.terms if c == curve), Rat(0))
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(NamedTuple):
     profile: SingularityProfile
     points: tuple[tuple[str, ResolutionLattice], ...]
     curves: tuple[NamedCurve, ...]
@@ -129,36 +128,31 @@ class SurfaceModel:
         return {c.id: c for c in self.curves}
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     boundary: BoundaryDivisor
     tower: BlowupTower | None = None
     tower_points: tuple[tuple[str, str], ...] = ()  # step name -> point id
     tangencies: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ScriptRow:
+class ScriptRow(NamedTuple):
     text: str
     row: Row
     note: str = ""
     redundant: bool = False
 
 
-@dataclass(frozen=True)
-class Alternative:
+class Alternative(NamedTuple):
     name: str
     rows: tuple[ScriptRow, ...]
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     name: str
     rows: tuple[ScriptRow, ...]
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     name: str                       # "" for an unnamed block
     rows: tuple[ScriptRow, ...]
     alternatives: tuple[Alternative, ...]
@@ -166,15 +160,13 @@ class Block:
     generate: str | None            # the A_n point whose case tree gave ``branches``
 
 
-@dataclass(frozen=True)
-class Assumption:
+class Assumption(NamedTuple):
     tag: str
     note: str
     exclusion_rows: tuple[ScriptRow, ...] = ()
 
 
-@dataclass(frozen=True)
-class ProofScript:
+class ProofScript(NamedTuple):
     tau_floor: Rat
     variables: tuple[str, ...]
     base_rows: tuple[ScriptRow, ...]
@@ -182,15 +174,13 @@ class ProofScript:
     assumptions: tuple[Assumption, ...] = ()
 
 
-@dataclass(frozen=True)
-class GroupGenerator:
+class GroupGenerator(NamedTuple):
     name: str
     lines: tuple[tuple[str, str], ...]
     points: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class GroupData:
+class GroupData(NamedTuple):
     name: str
     declared_order: int
     expected_image_order: int
@@ -201,8 +191,7 @@ class GroupData:
     assumptions: tuple[Assumption, ...] = ()
 
 
-@dataclass(frozen=True)
-class FiberwiseData:
+class FiberwiseData(NamedTuple):
     source_poly: tuple[tuple[Rat, tuple[int, ...]], ...] | None
     target_poly: tuple[tuple[Rat, tuple[int, ...]], ...] | None
     map_powers: tuple[tuple[str, int], ...] | None
@@ -213,8 +202,7 @@ class FiberwiseData:
     fiber_profiles: tuple[str, str]  # profile key or "smooth-eckardt"/"smooth-general"
 
 
-@dataclass(frozen=True)
-class CaseFixture:
+class CaseFixture(NamedTuple):
     name: str
     model: SurfaceModel
     expected_omega: Rat | None
@@ -382,14 +370,16 @@ def _boolean(value) -> bool:
 
 
 def _parse_poly(items, ctx):
+    """A YAML list of ``[coef, [x, y, z, w, t exponents]]`` terms, or None."""
     if items is None:
         return None
     out = []
-    for i, (coef, exps) in enumerate(items):
-        if len(exps) != 5:
-            raise ParseError(f"{ctx}[{i}]: exponent vector must have 5 entries (x,y,z,w,t)")
-        out.append((_scalar(parse_rat, coef, f"{ctx}[{i}]"),
-                    tuple(_scalar(_integer, e, f"{ctx}[{i}]") for e in exps)))
+    for i, term in enumerate(_shaped(items, list, ctx)):
+        where = f"{ctx}[{i}]"
+        coef, exps = _shaped(term, list, where, 2)
+        _shaped(exps, list, f"{where} exponents (x,y,z,w,t)", 5)
+        out.append((_scalar(parse_rat, coef, where),
+                    tuple(_scalar(_integer, e, where) for e in exps)))
     return tuple(out)
 
 
@@ -521,7 +511,7 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
     orientations = {pid: o for pid, _, o in points}
 
     curves = []
-    for i, spec in enumerate(doc.get("curves") or []):
+    for i, spec in enumerate(_shaped(doc.get("curves") or [], list, "curves")):
         ctx = f"curves[{i}]"
         cid = _req(spec, "id", ctx)
         kind = _req(spec, "kind", ctx)
@@ -566,7 +556,7 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
 
     equivalences = tuple(
         BoundaryDivisor(parse_terms(eq, f"equivalences[{i}]"))
-        for i, eq in enumerate(doc.get("equivalences") or []))
+        for i, eq in enumerate(_shaped(doc.get("equivalences") or [], list, "equivalences")))
 
     witness = None
     if "witness" in doc and doc["witness"] is not None:
@@ -574,17 +564,19 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
         boundary = BoundaryDivisor(parse_terms(_req(wspec, "divisor", "witness"), "witness.divisor"))
         tower = None
         tower_points: list[tuple[str, str]] = []
-        if wspec.get("tower"):
+        tower_specs = _shaped(wspec.get("tower") or [], list, "witness.tower")
+        if tower_specs:
             steps = []
-            for j, sspec in enumerate(wspec["tower"]):
+            for j, sspec in enumerate(tower_specs):
                 ctx = f"witness.tower[{j}]"
                 sname = _req(sspec, "name", ctx)
                 spoint = _req(sspec, "point", ctx)
                 if spoint not in point_ids:
                     raise DanglingReference(f"{ctx}: unknown point {spoint!r}")
                 strict, excs = [], []
-                for item in _req(sspec, "through", ctx):
-                    if "curve" in item:
+                for k, item in enumerate(_shaped(_req(sspec, "through", ctx), list,
+                                                 f"{ctx}.through")):
+                    if "curve" in _shaped(item, dict, f"{ctx}.through[{k}]"):
                         if item["curve"] not in curve_ids:
                             raise DanglingReference(f"{ctx}: unknown curve {item['curve']!r}")
                         strict.append((item["curve"],
@@ -622,7 +614,8 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
     if "group" in doc and doc["group"] is not None:
         gspec = doc["group"]
         gens = []
-        for i, gen in enumerate(_req(gspec, "generators", "group")):
+        for i, gen in enumerate(_shaped(_req(gspec, "generators", "group"), list,
+                                        "group.generators")):
             ctx = f"group.generators[{i}]"
             lines = tuple(_shaped(_req(gen, "lines", ctx), dict, f"{ctx}.lines").items())
             pts = tuple(_shaped(gen.get("points") or {}, dict, f"{ctx}.points").items())
@@ -640,7 +633,8 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
             tuple((k, _scalar(_integer, v, f"group.extra_degrees.{k}"))
                   for k, v in _shaped(gspec.get("extra_degrees") or {}, dict,
                                       "group.extra_degrees").items()),
-            (gspec.get("elimination") or {}).get("conic_residual_pairs", ""),
+            _shaped(gspec.get("elimination") or {}, dict,
+                    "group.elimination").get("conic_residual_pairs", ""),
             _parse_assumptions(gspec.get("assumptions"), (), "group.assumptions"))
 
     fiberwise = None

@@ -52,6 +52,7 @@ def format_rat(value: Rat) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# A dataclass, not a NamedTuple: its ``__getitem__`` takes an ``(i, j)`` pair.
 @dataclass(frozen=True)
 class QMatrix:
     """Dense immutable matrix of rationals."""
@@ -78,12 +79,6 @@ class QMatrix:
         return self.rows == self.cols and all(
             self.entries[i][j] == self.entries[j][i]
             for i in range(self.rows) for j in range(i + 1, self.cols))
-
-    def mul_vector(self, vec: list[Rat]) -> list[Rat]:
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
-        return [sum((self.entries[i][j] * vec[j] for j in range(self.cols)), Rat(0))
-                for i in range(self.rows)]
 
     def leading_minor(self, k: int) -> "QMatrix":
         return QMatrix.from_rows([[self.entries[i][j] for j in range(k)] for i in range(k)])

@@ -94,7 +94,8 @@ def feasible_by_vertex_enumeration(system: LinearSystem) -> bool:
     """
     n = len(system.variables)
     if n == 0:
-        return all(row.constant_holds() for row in system.rows)
+        return all(0 > row.constant if row.relation == ">" else 0 >= row.constant
+                   for row in system.rows)
 
     m = _box_bound(system)
     rows = [_integer_row(row.coeffs, row.constant) for row in system.rows]

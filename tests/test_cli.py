@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from cubiclct.cli import main
 from cubiclct.linsys import LinearSystem, parse_row
@@ -125,6 +126,46 @@ def test_malformed_fiberwise_field_is_located_parse_error(capsys, tmp_path, old,
     _fixture_copy(tmp_path, "fiber_e6", old, new)
     code, out, err = run(capsys, "--fixtures", str(tmp_path), "fiberwise", "fiber_e6")
     assert (code, out, err) == (2, "", f"error: fiber_e6: {message}\n")
+
+
+def _fixture_with(tmp_path, name, path, value):
+    """A copy of fixture ``name`` whose value at the key/index ``path`` is ``value``."""
+    from cubiclct.cli import fixture_dir
+    doc = yaml.safe_load(Path(str(fixture_dir() / f"{name}.yaml")).read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    (tmp_path / f"{name}.yaml").write_text(yaml.safe_dump(doc))
+
+
+@pytest.mark.parametrize("name, path, value, message", [
+    ("a3", ("curves",), 5, "curves: expected a list, got 5"),
+    ("a3", ("equivalences",), 5, "equivalences: expected a list, got 5"),
+    ("a1", ("witness", "tower"), 5, "witness.tower: expected a list, got 5"),
+    ("a1", ("witness", "tower", 0, "through"), 5,
+     "witness.tower[0].through: expected a list, got 5"),
+    ("a1", ("witness", "tower", 0, "through", 0), "curve",
+     "witness.tower[0].through[0]: expected a mapping, got 'curve'"),
+    ("cayley", ("group", "generators"), 5, "group.generators: expected a list, got 5"),
+    ("cayley", ("group", "elimination"), ["x"],
+     "group.elimination: expected a mapping, got ['x']"),
+    ("fiber_e6", ("fiberwise", "source_poly"), 5,
+     "fiberwise.source_poly: expected a list, got 5"),
+    ("fiber_e6", ("fiberwise", "source_poly", 0), ["1", [3, 0, 0, 0, 0], 2],
+     "fiberwise.source_poly[0]: expected 2 entries, got 3"),
+    ("fiber_e6", ("fiberwise", "source_poly", 0), ["1", 3],
+     "fiberwise.source_poly[0] exponents (x,y,z,w,t): expected a list, got 3"),
+    ("fiber_e6", ("fiberwise", "target_poly", 1), "x",
+     "fiberwise.target_poly[1]: expected a list, got 'x'"),
+], ids=["curves", "equivalences", "tower", "through", "through entry", "generators",
+        "elimination", "poly", "poly term of three", "poly exponents", "poly term string"])
+def test_list_field_of_wrong_shape_is_located_parse_error(capsys, tmp_path, name, path,
+                                                          value, message):
+    _fixture_with(tmp_path, name, path, value)
+    command = {"cayley": "equivariant", "fiber_e6": "fiberwise"}.get(name, "case")
+    code, out, err = run(capsys, "--fixtures", str(tmp_path), command, name)
+    assert (code, out, err) == (2, "", f"error: {name}: {message}\n")
 
 
 # (fixture, edit that leaves it loadable but invalid, command line)

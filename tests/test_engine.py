@@ -285,9 +285,8 @@ def test_assemble_table_rows():
 
 
 def test_assemble_table_detects_inconsistency():
-    import dataclasses
     broken = dict(RESULTS)
-    tweaked = dataclasses.replace(RESULTS["A5"], omega_upper=Rat(1, 3))
+    tweaked = RESULTS["A5"]._replace(omega_upper=Rat(1, 3))
     broken["A5"] = tweaked
     with pytest.raises(Inconsistent):
         assemble_table(broken, ADMISSIBLE_PROFILES)

@@ -121,13 +121,12 @@ def test_invariant_threshold_xyzt3():
 
 
 def test_trivial_group_keeps_only_the_upper_bound():
-    import dataclasses
     trivial_gen = GroupGenerator(
         "id", tuple((c.id, c.id) for c in CAYLEY.model.curves if c.kind == "line"),
         tuple((p, p) for p, _ in CAYLEY.model.points))
-    group = dataclasses.replace(CAYLEY.group, name="trivial", declared_order=1,
-                                expected_image_order=1, generators=(trivial_gen,))
-    fixture = dataclasses.replace(CAYLEY, group=group)
+    group = CAYLEY.group._replace(name="trivial", declared_order=1,
+                                  expected_image_order=1, generators=(trivial_gen,))
+    fixture = CAYLEY._replace(group=group)
     result = invariant_threshold(fixture)
     assert result.lct is None
     assert result.upper == Rat(1)

@@ -64,7 +64,8 @@ def test_pullback_incidence_identity():
         for j in range(ade.rank):
             inc = [1 if i == j else 0 for i in range(ade.rank)]
             c = pullback_coefficients(lattice, inc).coefficients
-            assert cartan.mul_vector(list(c)) == [Rat(v) for v in inc]
+            assert [sum(cartan[i, k] * c[k] for k in range(ade.rank))
+                    for i in range(ade.rank)] == [Rat(v) for v in inc]
 
 
 def test_pullback_positivity():

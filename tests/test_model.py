@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 from fractions import Fraction as Rat
 from pathlib import Path
 
@@ -247,16 +246,16 @@ def _mutants(fixture):
                     inc = list(curve.incidence)
                     inc[pi] = (pid, vec[:i] + (vec[i] + d,) + vec[i + 1:])
                     curves = list(model.curves)
-                    curves[ci] = replace(curve, incidence=tuple(inc))
+                    curves[ci] = curve._replace(incidence=tuple(inc))
                     yield (f"{curve.id}@{pid}[{i}]{d:+d}",
-                           replace(fixture, model=replace(model, curves=tuple(curves))))
+                           fixture._replace(model=model._replace(curves=tuple(curves))))
     boundary = fixture.witness.boundary
     for j, (m, cid) in enumerate(boundary.terms):
         for d in (1, -1):
             terms = list(boundary.terms)
             terms[j] = (m + d, cid)
-            witness = replace(fixture.witness, boundary=replace(boundary, terms=tuple(terms)))
-            yield f"witness {cid}{d:+d}", replace(fixture, witness=witness)
+            witness = fixture.witness._replace(boundary=boundary._replace(terms=tuple(terms)))
+            yield f"witness {cid}{d:+d}", fixture._replace(witness=witness)
 
 
 def test_mutated_case_fixtures_are_flagged_without_raising():
