@@ -10,9 +10,12 @@ over the integers:
   the pair by ``b/g`` and ``a/g`` with ``g = gcd(a, b)`` and divides the
   result by its content, so no ``Fraction`` is built inside the
   elimination loop;
-- after each step one dict keyed by the coefficient direction keeps only
-  the tightest row per direction, which collapses the duplicates that make
-  FM blow up;
+- one table keyed by coefficient direction (the coefficients over their
+  gcd, computed once per row) is carried across the levels: eliminating
+  ``x_k`` takes out the rows that mention it, and each new combination is
+  offered to it as it is made.  The table keeps only the tightest row per
+  direction, which collapses the duplicates that make FM blow up; an
+  all-zero combination is instead tested for a contradiction at once;
 - every derived row stores parent pointers ``(parent_a, mult_a, parent_b,
   mult_b, divisor)`` instead of its own lineage.
 
@@ -29,7 +32,7 @@ failure raises ``SelfCheckFailed``.
 The certificate walk, the witness back-substitution, the replay and the
 witness check all run in integers over one common denominator; a
 ``Fraction`` is built only for each multiplier, witness coordinate and
-variable bound they emit.  The replay reads each row's own numerators and
+variable value they emit.  The replay reads each row's own numerators and
 denominators, never the kernel's scaled rows, so it does not depend on the
 scaling it checks.
 
@@ -124,23 +127,6 @@ class LinearSystem:
         for row in self.rows:
             if len(row.coeffs) != len(self.variables):
                 raise DimensionMismatch("row width does not match variable count")
-
-    def var_index(self, name: str) -> int:
-        try:
-            return self.variables.index(name)
-        except ValueError:
-            raise UnknownVariable(name) from None
-
-    def substitute(self, name: str, value: Rat) -> "LinearSystem":
-        """Fix one variable to a rational value (used for display regression)."""
-        idx = self.var_index(name)
-        new_vars = self.variables[:idx] + self.variables[idx + 1:]
-        new_rows = []
-        for row in self.rows:
-            coeffs = row.coeffs[:idx] + row.coeffs[idx + 1:]
-            const = row.constant - row.coeffs[idx] * value
-            new_rows.append(Row(coeffs, const, row.relation, row.provenance))
-        return LinearSystem(new_vars, tuple(new_rows))
 
     def pretty(self) -> list[str]:
         return [row.pretty(self.variables) for row in self.rows]
@@ -266,30 +252,11 @@ def parse_row(expr: str, variables: tuple[str, ...], provenance: str = "") -> Ro
 
 # --- Fourier-Motzkin --------------------------------------------------------
 
-# A kernel row is (coeffs, constant, strict, node): primitive integers, with
-# ``node`` indexing the parent-pointer table of check_feasibility.
-_IntRow = tuple[tuple[int, ...], int, bool, int]
-
-
-def _dedup(rows: list[_IntRow]) -> list[_IntRow]:
-    """Keep the tightest row per coefficient direction; verdict is unaffected.
-
-    ``g*key . x >= c`` reads ``key . x >= c/g``, so of two rows on one key
-    the one with the larger ``c/g`` implies the other; on a tie the strict
-    row implies the non-strict one.
-    """
-    best: dict[tuple[int, ...], tuple[_IntRow, int]] = {}
-    for row in rows:
-        g = gcd(*row[0])
-        key = tuple(c // g for c in row[0])
-        held = best.get(key)
-        if held is not None:
-            (_, held_const, held_strict, _), held_g = held
-            mine, theirs = row[1] * held_g, held_const * g
-            if mine < theirs or (mine == theirs and (held_strict or not row[2])):
-                continue
-        best[key] = (row, g)
-    return [row for row, _ in best.values()]
+# A kernel row ``g * key . x  REL  constant`` is held as ``key -> (constant,
+# strict, node, g)``: ``key`` is its primitive coefficient direction, ``g > 0``
+# the gcd of its coefficients and ``node`` its index in the parent-pointer
+# table of check_feasibility.
+_IntRow = tuple[int, bool, int, int]
 
 
 def check_feasibility(sys: LinearSystem, *,
@@ -305,75 +272,102 @@ def check_feasibility(sys: LinearSystem, *,
     # stores (parent_a, mult_a, parent_b, mult_b, divisor): its row is
     # (mult_a * row_a + mult_b * row_b) / divisor.
     parents: list[tuple[int, int, int, int, int] | None] = [None] * len(sys.rows)
-    rows: list[_IntRow] = [(*row.primitive[:2], row.relation == ">", i)
-                           for i, row in enumerate(sys.rows)]
-    # (variable index, rows mentioning it at elimination time) for the witness
-    levels: list[tuple[int, list[_IntRow]]] = []
+    # The rows of the current level, one per direction.  ``g*key . x >= c``
+    # reads ``key . x >= c/g``, so of two rows on one key the one with the
+    # larger ``c/g`` implies the other; on a tie the strict row implies the
+    # non-strict one.  A key keeps its first-insertion position.
+    table: dict[tuple[int, ...], _IntRow] = {}
 
+    def offer(key: tuple[int, ...], row: _IntRow) -> None:
+        held = table.get(key)
+        if held is not None:
+            mine, theirs = row[0] * held[3], held[0] * row[3]
+            if mine < theirs or (mine == theirs and (held[1] or not row[1])):
+                return
+        table[key] = row
+
+    for i, row in enumerate(sys.rows):
+        coeffs, constant = row.primitive[:2]
+        strict, g = row.relation == ">", gcd(*coeffs)
+        if g:
+            offer(tuple(c // g for c in coeffs), (constant, strict, i, g))
+        elif constant >= 0 if strict else constant > 0:
+            return _self_checked(sys, Infeasible(_certificate(sys, parents, i)))
+
+    # (variable index, rows mentioning it at elimination time) for the witness
+    levels: list[tuple[int, list[tuple[tuple[int, ...], _IntRow]]]] = []
     remaining = list(variables)
-    while True:
-        for coeffs, constant, strict, node in rows:
-            if not any(coeffs) and (constant >= 0 if strict else constant > 0):
-                return _self_checked(sys, Infeasible(_certificate(sys, parents, node)))
-        rows = _dedup([r for r in rows if any(r[0])])
-        if not remaining:
-            break
+    while remaining and table:  # variables left once the table empties stay 0
         if order:
             pending = [v for v in order if v in remaining]
             var = pending[0] if pending else remaining[0]
         else:
+            plus, minus = [0] * len(variables), [0] * len(variables)
+            for key in table:
+                for j, c in enumerate(key):
+                    if c > 0:
+                        plus[j] += 1
+                    elif c < 0:
+                        minus[j] += 1
+
             def fanout(v: str) -> tuple[int, int]:
                 k = variables.index(v)
-                p = sum(1 for r in rows if r[0][k] > 0)
-                n = sum(1 for r in rows if r[0][k] < 0)
-                return (p * n, k)
+                return (plus[k] * minus[k], k)
             var = min(remaining, key=fanout)
         remaining.remove(var)
         k = variables.index(var)
-        levels.append((k, [r for r in rows if r[0][k]]))
-        pos = [r for r in rows if r[0][k] > 0]
-        neg = [r for r in rows if r[0][k] < 0]
-        rows = [r for r in rows if not r[0][k]]
-        for p_coeffs, p_const, p_strict, p_node in pos:
-            a = p_coeffs[k]
-            for n_coeffs, n_const, n_strict, n_node in neg:
-                b = -n_coeffs[k]
-                g = gcd(a, b)
-                ma, mb = b // g, a // g
-                coeffs = [ma * x + mb * y for x, y in zip(p_coeffs, n_coeffs)]
+        level = [(key, row) for key, row in table.items() if key[k]]
+        levels.append((k, level))
+        for key, _ in level:
+            del table[key]
+        neg = [(key, row) for key, row in level if key[k] < 0]
+        for p_key, (p_const, p_strict, p_node, p_g) in level:
+            if p_key[k] < 0:
+                continue
+            a = p_g * p_key[k]
+            for n_key, (n_const, n_strict, n_node, n_g) in neg:
+                b = -n_g * n_key[k]
+                h = gcd(a, b)
+                ma, mb = b // h, a // h
+                pa, nb = ma * p_g, mb * n_g
+                coeffs = [pa * x + nb * y for x, y in zip(p_key, n_key)]
                 constant = ma * p_const + mb * n_const
-                d = gcd(*coeffs, constant) or 1
+                g = gcd(*coeffs)
+                d = gcd(g, constant) or 1
                 parents.append((p_node, ma, n_node, mb, d))
-                rows.append((tuple(c // d for c in coeffs), constant // d,
-                             p_strict or n_strict, len(parents) - 1))
+                strict = p_strict or n_strict
+                if g:
+                    offer(tuple(c // g for c in coeffs),
+                          (constant // d, strict, len(parents) - 1, g // d))
+                elif constant >= 0 if strict else constant > 0:
+                    return _self_checked(
+                        sys, Infeasible(_certificate(sys, parents, len(parents) - 1)))
 
     # Feasible: rebuild a witness in reverse elimination order, as integer
-    # numerators over one common denominator.
+    # numerators over one common denominator.  A row bounds x_k by num/q,
+    # from below if q > 0 and from above if q < 0; on either side the larger
+    # num/|q| is the tighter bound, compared by cross-multiplying.
     nums, den = [0] * len(variables), 1
-    for k, level_rows in reversed(levels):
-        lower: tuple[Rat, bool] | None = None  # (bound, strict)
-        upper: tuple[Rat, bool] | None = None
-        for coeffs, constant, strict, _ in level_rows:
+    for k, level in reversed(levels):
+        tightest: dict[bool, tuple[int, int, bool]] = {}  # below? -> (num, |q|, strict)
+        for key, (constant, strict, _, g) in level:
             # nums[k] is still 0, so x_k drops out of the sum
-            rest = sum(c * x for c, x in zip(coeffs, nums) if c and x)
-            bound = Rat(constant * den - rest, den * coeffs[k])
-            if coeffs[k] > 0:
-                if lower is None or bound > lower[0] or (bound == lower[0] and strict):
-                    lower = (bound, strict)
-            else:
-                if upper is None or bound < upper[0] or (bound == upper[0] and strict):
-                    upper = (bound, strict)
-        if lower is None and upper is None:
-            value = Rat(0)
-        elif lower is None:
-            value = upper[0] - 1 if upper[1] else upper[0]
-        elif upper is None:
-            value = lower[0] + 1 if lower[1] else lower[0]
-        elif lower[0] == upper[0]:
-            # FM guarantees the interval is nonempty, so neither is strict.
-            value = lower[0]
+            rest = sum(c * x for c, x in zip(key, nums) if c and x)
+            num, q = constant * den - g * rest, g * den * key[k]
+            held = tightest.get(q > 0)
+            if held is None or (cross := num * held[1] - held[0] * abs(q)) > 0 or (
+                    cross == 0 and strict):
+                tightest[q > 0] = (num, abs(q), strict)
+        lower, upper = tightest.get(True), tightest.get(False)
+        if lower and upper:
+            # the midpoint: FM guarantees the interval is nonempty
+            value = Rat(lower[0] * upper[1] - upper[0] * lower[1], 2 * lower[1] * upper[1])
+        elif lower:
+            value = Rat(lower[0] + lower[1] if lower[2] else lower[0], lower[1])
+        elif upper:
+            value = Rat(-upper[0] - upper[1] if upper[2] else -upper[0], upper[1])
         else:
-            value = (lower[0] + upper[0]) / 2
+            value = Rat(0)
         t = value.denominator // gcd(den, value.denominator)
         if t > 1:
             nums, den = [x * t for x in nums], den * t

@@ -256,7 +256,7 @@ def _parse_script_rows(items, variables, ctx) -> tuple[ScriptRow, ...]:
             text, note, redundant = item, "", False
         elif isinstance(item, dict):
             text = _req(item, "row", where)
-            note = item.get("note", "")
+            note = _string(item.get("note", ""), f"{where}.note")
             redundant = _scalar(_boolean, item.get("redundant", False), f"{where}.redundant")
         else:
             raise ParseError(f"{where}: row must be string or mapping")
@@ -269,7 +269,7 @@ def _parse_alternatives(items, variables, ctx) -> tuple[Alternative, ...]:
     alts = []
     for i, item in enumerate(_shaped(items or [], list, ctx)):
         where = f"{ctx}[{i}]"
-        name = _req(item, "name", where)
+        name = _string(_req(item, "name", where), f"{where}.name")
         alts.append(Alternative(name, _parse_script_rows(item.get("rows"), variables, where)))
     return tuple(alts)
 
@@ -317,7 +317,8 @@ def _parse_block(spec, variables, lattices: dict[str, ResolutionLattice], ctx) -
     point = spec.get("generate")
     if point is None:
         branches = tuple(
-            Branch(_req(br, "name", f"{ctx}.branches[{j}]"),
+            Branch(_string(_req(br, "name", f"{ctx}.branches[{j}]"),
+                           f"{ctx}.branches[{j}].name"),
                    _parse_script_rows(br.get("rows"), variables, f"{ctx}.branches[{j}]"))
             for j, br in enumerate(_shaped(_req(spec, "branches", ctx), list,
                                            f"{ctx}.branches")))
@@ -328,7 +329,7 @@ def _parse_block(spec, variables, lattices: dict[str, ResolutionLattice], ctx) -
     else:
         branches = _scalar(lambda lat: generate_case_tree(lat, variables), lattices[point],
                            f"{ctx}.generate")
-    return Block(spec.get("name", ""),
+    return Block(_string(spec.get("name", ""), f"{ctx}.name"),
                  _parse_script_rows(spec.get("rows"), variables, f"{ctx}.rows"),
                  _parse_alternatives(spec.get("alternatives"), variables, f"{ctx}.alternatives"),
                  branches, point)
@@ -339,17 +340,23 @@ def _parse_assumptions(items, variables, ctx) -> tuple[Assumption, ...]:
     for i, item in enumerate(_shaped(items or [], list, ctx)):
         where = f"{ctx}[{i}]"
         out.append(Assumption(
-            _req(item, "tag", where),
-            item.get("note", ""),
+            _string(_req(item, "tag", where), f"{where}.tag"),
+            _string(item.get("note", ""), f"{where}.note"),
             _parse_script_rows(item.get("exclusion_rows"), variables, where)))
     return tuple(out)
+
+
+def _string(value, where: str) -> str:
+    """``value`` when YAML read it as a string, else a located ParseError."""
+    if not isinstance(value, str):
+        raise ParseError(f"{where}: expected a string, got {value!r}")
+    return value
 
 
 def _strings(value, where: str, length: int | None = None) -> tuple[str, ...]:
     """A YAML list of strings, shaped as by ``_shaped``; a bare string is never split."""
     for i, item in enumerate(_shaped(value, list, where, length)):
-        if not isinstance(item, str):
-            raise ParseError(f"{where}[{i}]: expected a string, got {item!r}")
+        _string(item, f"{where}[{i}]")
     return tuple(value)
 
 
@@ -513,7 +520,7 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
     curves = []
     for i, spec in enumerate(_shaped(doc.get("curves") or [], list, "curves")):
         ctx = f"curves[{i}]"
-        cid = _req(spec, "id", ctx)
+        cid = _string(_req(spec, "id", ctx), f"{ctx}.id")
         kind = _req(spec, "kind", ctx)
         if kind not in ("line", "conic", "cubic"):
             raise ParseError(f"{ctx}: bad kind {kind!r}")
@@ -549,7 +556,7 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
                 raise ParseError(f"{ctx}[{j}]: expected a [multiplicity, curve] pair, "
                                  f"got {pair!r}")
             mult, cid = pair
-            if cid not in curve_ids:
+            if _string(cid, f"{ctx}[{j}]") not in curve_ids:
                 raise DanglingReference(f"{ctx}[{j}]: unknown curve {cid!r}")
             terms.append((_scalar(parse_rat, mult, f"{ctx}[{j}]"), cid))
         return tuple(terms)
@@ -569,7 +576,7 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
             steps = []
             for j, sspec in enumerate(tower_specs):
                 ctx = f"witness.tower[{j}]"
-                sname = _req(sspec, "name", ctx)
+                sname = _string(_req(sspec, "name", ctx), f"{ctx}.name")
                 spoint = _req(sspec, "point", ctx)
                 if spoint not in point_ids:
                     raise DanglingReference(f"{ctx}: unknown point {spoint!r}")
@@ -577,12 +584,14 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
                 for k, item in enumerate(_shaped(_req(sspec, "through", ctx), list,
                                                  f"{ctx}.through")):
                     if "curve" in _shaped(item, dict, f"{ctx}.through[{k}]"):
-                        if item["curve"] not in curve_ids:
-                            raise DanglingReference(f"{ctx}: unknown curve {item['curve']!r}")
-                        strict.append((item["curve"],
+                        curve = _string(item["curve"], f"{ctx}.through[{k}].curve")
+                        if curve not in curve_ids:
+                            raise DanglingReference(f"{ctx}: unknown curve {curve!r}")
+                        strict.append((curve,
                                        _scalar(_integer, item.get("mult", 1), f"{ctx}.mult")))
                     elif "exceptional" in item:
-                        excs.append(item["exceptional"])
+                        excs.append(_string(item["exceptional"],
+                                            f"{ctx}.through[{k}].exceptional"))
                     else:
                         raise ParseError(f"{ctx}: through-entry needs curve or exceptional")
                 steps.append(TowerStep(sname, tuple(strict), tuple(excs)))
@@ -620,12 +629,12 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
             lines = tuple(_shaped(_req(gen, "lines", ctx), dict, f"{ctx}.lines").items())
             pts = tuple(_shaped(gen.get("points") or {}, dict, f"{ctx}.points").items())
             for k, v in lines:
-                if k not in curve_ids or v not in curve_ids:
+                if k not in curve_ids or _string(v, f"{ctx}.lines.{k}") not in curve_ids:
                     raise DanglingReference(f"{ctx}: unknown line {k!r} or {v!r}")
-            gens.append(GroupGenerator(_req(gen, "name", ctx), lines, pts))
+            gens.append(GroupGenerator(_string(_req(gen, "name", ctx), f"{ctx}.name"), lines, pts))
         inv = parse_terms(_req(gspec, "invariant_divisor", "group"), "group.invariant_divisor")
         group = GroupData(
-            _req(gspec, "name", "group"),
+            _string(_req(gspec, "name", "group"), "group.name"),
             _scalar(_integer, _req(gspec, "declared_order", "group"), "group.declared_order"),
             _scalar(_integer, _req(gspec, "expected_image_order", "group"),
                     "group.expected_image_order"),
@@ -670,7 +679,7 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
                          tuple(curves), equivalences)
     expected = (_scalar(parse_rat, doc["expected_omega"], "expected_omega")
                 if "expected_omega" in doc else None)
-    return CaseFixture(doc.get("name", name), model, expected, witness, script,
+    return CaseFixture(_string(doc.get("name", name), "name"), model, expected, witness, script,
                        group, fiberwise)
 
 

@@ -126,9 +126,9 @@ def test_criterion_4_generated_case_lists():
         variables = tuple(f"a{i+1}" for i in range(ade.rank)) + ("tau",)
         out = []
         for br in generate_case_tree(lattice, variables):
-            sys = LinearSystem(variables, tuple(r.row for r in br.rows))
-            sys = sys.substitute("tau", Rat(tau))
-            out.append(tuple((r.coeffs, r.constant, r.relation) for r in sys.rows))
+            # tau is the last variable: fix it at tau
+            out.append(tuple((r.row.coeffs[:-1], r.row.constant - r.row.coeffs[-1] * tau,
+                              r.row.relation) for r in br.rows))
         return out
 
     def expected(rows_lists, variables):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -164,6 +165,41 @@ def test_list_field_of_wrong_shape_is_located_parse_error(capsys, tmp_path, name
                                                           value, message):
     _fixture_with(tmp_path, name, path, value)
     command = {"cayley": "equivariant", "fiber_e6": "fiberwise"}.get(name, "case")
+    code, out, err = run(capsys, "--fixtures", str(tmp_path), command, name)
+    assert (code, out, err) == (2, "", f"error: {name}: {message}\n")
+
+
+@pytest.mark.parametrize("name, path, message", [
+    ("a3", ("curves", 0, "id"), "curves[0].id: expected a string, got ['x']"),
+    ("a3", ("equivalences", 0, 0, 1), "equivalences[0][0]: expected a string, got ['x']"),
+    ("a1", ("witness", "tower", 0, "through", 0, "curve"),
+     "witness.tower[0].through[0].curve: expected a string, got ['x']"),
+    ("cayley", ("group", "generators", 0, "lines", "L12"),
+     "group.generators[0].lines.L12: expected a string, got ['x']"),
+    ("cayley", ("group", "name"), "group.name: expected a string, got ['x']"),
+    ("a1", ("script", "assumptions", 0, "tag"),
+     "script.assumptions[0].tag: expected a string, got ['x']"),
+    ("cayley", ("group", "assumptions", 0, "note"),
+     "group.assumptions[0].note: expected a string, got ['x']"),
+    ("a3", ("script", "blocks", 0, "name"), "script.blocks[0].name: expected a string, got ['x']"),
+    ("a1", ("script", "blocks", 0, "branches", 0, "name"),
+     "script.blocks[0].branches[0].name: expected a string, got ['x']"),
+    ("a3", ("script", "blocks", 0, "alternatives", 0, "name"),
+     "script.blocks[0].alternatives[0].name: expected a string, got ['x']"),
+    ("a3", ("script", "base_rows", 1, "note"),
+     "script.base_rows[1].note: expected a string, got ['x']"),
+    ("a1", ("witness", "tower", 0, "name"), "witness.tower[0].name: expected a string, got ['x']"),
+    ("a1", ("witness", "tower", 0, "through", 2, "exceptional"),
+     "witness.tower[0].through[2].exceptional: expected a string, got ['x']"),
+    ("cayley", ("group", "generators", 0, "name"),
+     "group.generators[0].name: expected a string, got ['x']"),
+    ("a1", ("name",), "name: expected a string, got ['x']"),
+], ids=["curve id", "equivalence curve", "through curve", "generator line", "group name",
+        "assumption tag", "assumption note", "block name", "branch name", "alternative name",
+        "row note", "tower step name", "through exceptional", "generator name", "fixture name"])
+def test_non_string_id_or_text_is_located_parse_error(capsys, tmp_path, name, path, message):
+    _fixture_with(tmp_path, name, path, ["x"])
+    command = "equivariant" if name == "cayley" else "case"
     code, out, err = run(capsys, "--fixtures", str(tmp_path), command, name)
     assert (code, out, err) == (2, "", f"error: {name}: {message}\n")
 
@@ -441,3 +477,57 @@ def test_quoted_false_log_terminal_is_an_input_error(capsys, tmp_path):
     assert out == ""
     assert err == ("error: fiber_e6: fiberwise.log_terminal[0]: "
                    "expected true or false, got 'false'\n")
+
+
+#: SHA-256 of ``case <profile> --json`` and of ``repr(mutation_audit(...))`` for
+#: every case fixture.  A change to any certificate, witness or audit record
+#: must update these on purpose.
+PINNED = {
+    "A1": ("d65122ba8d29848371fd2cff26c618309c4f77ad911fe55a361c9f1749d796b2",
+           "6ced7bdac0d68825e8a1d6d754fd7eb27a8ae771399c06983834d27ff8c71282"),
+    "A1+A1": ("8121e7dd137b2e29028d975425af51b11838bd0e233dbf20211728b23ba3ed7c",
+              "338aa4c6d4868c45d0eaed6bd0289212c26a3f5fd3048c87d8773fda76fd715d"),
+    "A2": ("ce6ebf8d1f9fc646964cf8b8e15950d2247e9fcfbaf09641fb101131f69575f0",
+           "d93708c2823b1cdeb124288b9e2e4802db30b7dc17ae968942eec45e59a119d5"),
+    "A2+A1": ("f6793c7d9a22f015851e7e07224f4187cd46bf460e36a9fbe3d5f281c5a1474b",
+              "d46ecca0d8058f57a6fd17212c091773a52dfa983bf6aec90072e33370f83164"),
+    "A2+A1+A1": ("80701fa7b60b9597f71d1de6c1f1cba0fcb4af2a9d4849d1f6233116a5bb8c3a",
+                 "d46ecca0d8058f57a6fd17212c091773a52dfa983bf6aec90072e33370f83164"),
+    "A2+A2": ("b043f8cb1f4bcb4c10ffbbe06b7c1679558ccd42dc6ffdf9f15ec27fdc0bb9fd",
+              "68a742dd234df1c84030d7f5e7f040033a153ab31766deea0f7c55924d034a00"),
+    "A2+A2+A1": ("4e0a5eb265a1b06498231c91c7db658f5fc6964034e036c21064f9bd7d7b7c0d",
+                 "5ac2c70fb0dac99da78f81936772de998fa2126bd47223140a9da6cc066cd4d5"),
+    "A3": ("e856075d9d7b274cbc8e4731ac1a9c771e10a8b53a68b661dad017594fad61fa",
+           "9b8538b645924fb5b32ad15c9f9fcd0c424fa288522a5fd6ceac92fcbd6d9c18"),
+    "A3+A1": ("b97d342b29a997a75071912905daafd2094365d67beb2cf380eee571ebe92d78",
+              "e5a22986f8d6367524f0375f492fbd7d175aaab106cbd3e4626ca7e962c6f545"),
+    "A3+A1+A1": ("6dc7f7eb601c1484b741099f05b3c6eada409be469817870c35b1988cdc66944",
+                 "ece74c80d1f8658558c8871107f5f48a6b65f619854f698e1e5253137feb639a"),
+    "A4": ("8273bb2b7c1b00c9d2d017d3ca225fcd389d6daf931112957f527cd28b507318",
+           "65d4f73ea33d228baeba8fb511f87b7c2c5f3661dadfffae677ac81fa8e4ffc2"),
+    "A4+A1": ("fabfb87910bf45b000b2a6ae98ce1af805f6f62008dd366401a9cbc2334538ce",
+              "5f49b3f7937e40b649562ac048d85c38b8957208f2569b7d4c37322aa7a6ec7a"),
+    "A5": ("8b4309032e32f52cb03ce25b3a1c89f7192db80fc63c78c4f4308dc06bfe7688",
+           "df58976c89848bc310472046d0d57c5c186105ef93203ea82ad160317e025e17"),
+    "A5+A1": ("25a5ed956b1c9fc2c8ea3d1c7b9e4cf1be06ec0b857f7ba14dd91ec46f9697bd",
+              "145463c11863817b8ef9cf3f8e841c9fd76c68a515fa1cf4de8529e6a9b48cd9"),
+    "D4": ("730c2808d57f22c67475b18e3496067b410f0241776b193af6bb18a9c601dc67",
+           "686c80d873bdcc56f4546b53068a639f2d9498fbbe1a02716e80f87d098f2a00"),
+    "D5": ("11b37d2309e14e80619e4e7b3890ba8e985b4eee1feb59aa4dc9460ea9cdb9ef",
+           "79d76836d4a742cc0263129eaca01983b3157dd93bfd3494a9cddda29a195c7b"),
+    "E6": ("1057380f6143778f4979ab7ee7d282a09b8b19ff9470b751150ebe6ab5e867a7",
+           "79d76836d4a742cc0263129eaca01983b3157dd93bfd3494a9cddda29a195c7b"),
+}
+
+
+def test_case_json_and_mutation_audit_are_pinned(capsys):
+    from cubiclct.cli import case_fixtures, fixture_dir, load_all_fixtures
+    from cubiclct.engine import mutation_audit
+    fixtures = case_fixtures(load_all_fixtures(fixture_dir()))
+    assert sorted(fixtures) == sorted(PINNED)
+    for profile, fixture in sorted(fixtures.items()):
+        code, out, _ = run(capsys, "case", profile, "--json")
+        assert code == 0
+        digests = (hashlib.sha256(out.encode()).hexdigest(),
+                   hashlib.sha256(repr(mutation_audit(fixture)).encode()).hexdigest())
+        assert digests == PINNED[profile], profile

@@ -107,8 +107,10 @@ def _tree_systems(label, tau_floor):
     branches = generate_case_tree(lattice, variables)
     systems = []
     for br in branches:
-        sys = LinearSystem(variables, tuple(r.row for r in br.rows))
-        systems.append((br.name, sys.substitute("tau", Rat(tau_floor))))
+        # tau is the last variable: fix it at tau_floor
+        rows = tuple(engine.Row(r.row.coeffs[:-1], r.row.constant - r.row.coeffs[-1] * tau_floor,
+                                r.row.relation) for r in br.rows)
+        systems.append((br.name, LinearSystem(variables[:-1], rows)))
     return systems
 
 

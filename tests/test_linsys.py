@@ -57,11 +57,6 @@ def test_eliminate_vacuous():
     assert isinstance(check_feasibility(system), Feasible)
 
 
-def test_eliminate_unknown_variable():
-    with pytest.raises(UnknownVariable):
-        sys_of(("x",), "x >= 0").var_index("y")
-
-
 def test_check_feasibility_a2_branch():
     system = sys_of(("a1", "a2"), "2*a1 - a2 > 3", "a1 <= 1", "a2 >= 0")
     outcome = check_feasibility(system)
@@ -161,6 +156,21 @@ def test_direction_dedup_keeps_the_tightest_row():
     assert outcome.certificate.derived.relation == ">"
     assert outcome.certificate.multipliers[1] > 0
     assert outcome.certificate.multipliers[0] == outcome.certificate.multipliers[2] == 0
+
+
+@pytest.mark.parametrize("carried, made", [
+    ("3*y >= 4", "x + y >= 2"),       # the new row y >= 2 beats y >= 4/3
+    ("2*y >= 3", "2*x + 2*y > 3"),    # equal bounds y >= 3/2; the new row is strict
+], ids=["tighter", "strict tie"])
+def test_direction_dedup_across_levels_keeps_the_new_row(carried, made):
+    # Eliminating x combines ``made`` with -x >= 0 into a row on the direction
+    # of ``carried``, which is carried over from the level before; either row
+    # closes the contradiction with 2y < 1, and the certificate must use the new one.
+    system = sys_of(("x", "y"), carried, made, "-x >= 0", "2*y < 1")
+    outcome = check_feasibility(system, order=["x", "y"])
+    assert isinstance(outcome, Infeasible)
+    carried_m, *support = outcome.certificate.multipliers
+    assert carried_m == 0 and all(m > 0 for m in support)
 
 
 def _random_system(rng, planted=None):
