@@ -18,9 +18,10 @@ from importlib import resources
 from pathlib import Path
 
 from cubiclct import engine, equivariant, fiberwise as fw
-from cubiclct.lattice import pullback_coefficients
-from cubiclct.linsys import (InfeasibilityCertificate, LinearSystem, SelfCheckFailed,
-                             check_feasibility, Infeasible, replay_certificate)
+from cubiclct.lattice import MalformedTower, pullback_coefficients
+from cubiclct.linsys import (DimensionMismatch, InfeasibilityCertificate, LinearSystem,
+                             SelfCheckFailed, check_feasibility, Infeasible,
+                             replay_certificate)
 from cubiclct.model import (ADMISSIBLE_PROFILES, CaseFixture, ParseError,
                             load_fixture, peek_profile, profile_key, validate_fixture)
 from cubiclct.qexact import format_rat
@@ -30,6 +31,12 @@ ENV_FIXTURE_DIR = "CUBICLCT_FIXTURE_DIR"
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
+
+#: What ``main`` reports as an input error (exit 2).  Anything else, such as a
+#: bare KeyError or ValueError, is a bug and propagates.
+INPUT_ERRORS = (ParseError, OSError, UnicodeDecodeError, json.JSONDecodeError,
+                DimensionMismatch, engine.NotSNC, MalformedTower,
+                equivariant.BadGroupData, fw.BadFiberData)
 
 
 def fixture_dir(override: str | None = None) -> Path:
@@ -198,8 +205,11 @@ def cmd_case(args) -> int:
 
 def cmd_pullback(args) -> int:
     fixture = _open_fixture(args.fixture, fixture_dir(args.fixtures))
-    curve = fixture.model.curve(args.curve)
-    lattice = fixture.model.lattice(args.point)
+    try:
+        curve = fixture.model.curve(args.curve)
+        lattice = fixture.model.lattice(args.point)
+    except KeyError as exc:
+        raise ParseError(f"{fixture.name}: no curve or point {exc}") from exc
     vec = curve.incidence_at(args.point)
     if vec is None:
         print(f"curve {args.curve} does not meet the exceptional locus over "
@@ -211,8 +221,19 @@ def cmd_pullback(args) -> int:
     return EXIT_OK
 
 
+def _read_json(path: str, from_json):
+    """``from_json`` of the JSON file at ``path``; a malformed document is a ParseError."""
+    data = json.loads(Path(path).read_text())
+    try:
+        return from_json(data)
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def cmd_certify(args) -> int:
-    system = LinearSystem.from_json(json.loads(Path(args.system).read_text()))
+    system = _read_json(args.system, LinearSystem.from_json)
     outcome = check_feasibility(system)
     if isinstance(outcome, Infeasible):
         print(json.dumps({"status": "infeasible",
@@ -225,8 +246,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    system = LinearSystem.from_json(json.loads(Path(args.system).read_text()))
-    cert = InfeasibilityCertificate.from_json(json.loads(Path(args.certificate).read_text()))
+    system = _read_json(args.system, LinearSystem.from_json)
+    cert = _read_json(args.certificate, InfeasibilityCertificate.from_json)
     ok = replay_certificate(system, cert)
     print(json.dumps({"replay": bool(ok)}))
     return EXIT_OK if ok else EXIT_FAILED
@@ -339,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FAILED
     except InvalidFixture:
         return EXIT_USAGE
-    except (ParseError, FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -19,11 +19,15 @@ from cubiclct.engine import ke_criterion
 from cubiclct.model import CaseFixture, GroupData
 
 
-class NotAPermutation(ValueError):
+class BadGroupData(ValueError):
+    """Group data that contradicts itself or the fixture's lines."""
+
+
+class NotAPermutation(BadGroupData):
     pass
 
 
-class NoReducedComponent(ValueError):
+class NoReducedComponent(BadGroupData):
     """Invariant divisor has no component of multiplicity exactly one."""
 
 
@@ -99,7 +103,7 @@ def invariant_upper_bound(group: GroupData, divisor: list[tuple[Rat, str]],
     for i, g in enumerate(gens):
         moved = {g[cid]: m for cid, m in mult.items()}
         if moved != mult:
-            raise ValueError(f"divisor is not invariant under generator #{i}")
+            raise BadGroupData(f"divisor is not invariant under generator #{i}")
     return Rat(1)
 
 
@@ -163,7 +167,7 @@ def invariant_threshold(fixture: CaseFixture) -> InvariantResult:
         _as_perm(g, line_labels, group.generators[i].name)
     image = generated_group(gens, line_labels)
     if group.declared_order % len(image) != 0:
-        raise ValueError(
+        raise BadGroupData(
             f"image order {len(image)} does not divide declared order {group.declared_order}")
 
     upper = invariant_upper_bound(group, list(group.invariant_divisor), line_labels)

@@ -21,6 +21,12 @@ class NoFactorization(ValueError):
     """No k >= 0 with target∘map = t^k * source."""
 
 
+class BadFiberData(ValueError):
+    """Fiberwise data outside the model: an exponent vector of the wrong
+    length, a map of a non-projective coordinate or by a negative power, or a
+    non-positive threshold."""
+
+
 class Poly(NamedTuple):
     """Sparse polynomial in (x, y, z, w, t); no zero coefficients stored."""
 
@@ -33,7 +39,7 @@ class Poly(NamedTuple):
             coef = Rat(coef)
             exps = tuple(int(e) for e in exps)
             if len(exps) != len(VARIABLES):
-                raise ValueError("exponent vector must have 5 entries (x,y,z,w,t)")
+                raise BadFiberData("exponent vector must have 5 entries (x,y,z,w,t)")
             acc[exps] = acc.get(exps, Rat(0)) + coef
         cleaned = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
         return Poly(cleaned)
@@ -57,9 +63,9 @@ class SubstitutionMap(NamedTuple):
     def from_dict(mapping: dict[str, int]) -> "SubstitutionMap":
         unknown = set(mapping) - set(VARIABLES[:T_INDEX])
         if unknown:
-            raise ValueError(f"substitution maps projective coordinates only: {unknown}")
+            raise BadFiberData(f"substitution maps projective coordinates only: {unknown}")
         if any(int(e) < 0 for e in mapping.values()):
-            raise ValueError("t-powers are nonnegative")
+            raise BadFiberData("t-powers are nonnegative")
         return SubstitutionMap(tuple(int(mapping.get(v, 0)) for v in VARIABLES[:T_INDEX]))
 
     def apply(self, poly: Poly) -> Poly:
@@ -95,7 +101,7 @@ def biregularity_criterion(lct_x: Rat, lct_xbar: Rat,
     sum past 1, or when the source fiber is log terminal with threshold >= 1.
     """
     if lct_x <= 0 or lct_xbar <= 0:
-        raise ValueError("lct values must be positive")
+        raise BadFiberData("lct values must be positive")
     if x_log_terminal and lct_x >= 1:
         return BiregularityVerdict("Biregular", "lct(X) >= 1")
     if x_log_terminal and xbar_log_terminal and lct_x + lct_xbar > 1:

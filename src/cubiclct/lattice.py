@@ -15,12 +15,19 @@ normalized by the loader using the chain-reversal symmetry.
 Every exceptional curve is a (-2)-curve, so all discrepancies vanish and
 the Cartan matrix ``(-Ei . Ej)`` has 2 on the diagonal and -1 exactly at
 the Dynkin edges.
+
+A pullback solves ``Cartan . c = incidence``.  The inverse Cartan matrix is
+solved once per type by ``qexact.solve_linear_system`` and kept as integer
+rows over one denominator (``inverse_cartan``), so each pullback is an
+integer product that builds one ``Fraction`` per coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Rat
+from functools import cache
+from math import lcm
 from typing import NamedTuple
 
 from cubiclct.qexact import QMatrix, solve_linear_system
@@ -117,10 +124,23 @@ class PullbackVector(NamedTuple):
     coefficients: tuple[Rat, ...]
 
 
+@cache
+def inverse_cartan(ade: AdeType) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``(rows, den)`` with ``Cartan^-1 = rows / den``, ``den > 0`` the lcm of
+    the entries' denominators.  Solved once per type, one unit column at a
+    time, by ``solve_linear_system``."""
+    cartan, n = cartan_matrix(ade), ade.rank
+    columns = [solve_linear_system(cartan, [int(i == j) for i in range(n)]) for j in range(n)]
+    den = lcm(*(x.denominator for column in columns for x in column))
+    return tuple(tuple(columns[j][i].numerator * (den // columns[j][i].denominator)
+                       for j in range(n)) for i in range(n)), den
+
+
 def pullback_coefficients(lattice: ResolutionLattice,
                           incidence: list[int],
                           curve: str = "") -> PullbackVector:
-    """Solve ``Cartan . c = incidence`` exactly.
+    """``c = Cartan^-1 . incidence``, the solution of ``Cartan . c = incidence``:
+    an integer product with the type's cached inverse, over its denominator.
 
     The inverse Cartan matrix is entrywise positive, so for a nonzero
     incidence vector every coefficient is strictly positive.
@@ -129,8 +149,9 @@ def pullback_coefficients(lattice: ResolutionLattice,
         raise ValueError("incidence length does not match lattice rank")
     if any(v < 0 for v in incidence):
         raise ValueError("incidence numbers are nonnegative")
-    coeffs = solve_linear_system(lattice.cartan(), [Rat(v) for v in incidence])
-    return PullbackVector(curve, tuple(incidence), tuple(coeffs))
+    rows, den = inverse_cartan(lattice.ade)
+    coeffs = tuple(Rat(sum(m * v for m, v in zip(row, incidence) if v), den) for row in rows)
+    return PullbackVector(curve, tuple(incidence), coeffs)
 
 
 def exceptional_nef_rows(lattice: ResolutionLattice) -> list[dict[str, Rat]]:

@@ -90,6 +90,15 @@ class Row:
         g = gcd(*ints) or 1
         return tuple(v // g for v in ints[:-1]), ints[-1] // g, scale, g
 
+    @cached_property
+    def direction(self) -> tuple[tuple[int, ...], int]:
+        """``(key, g)``: ``primitive``'s coefficients are ``g * key`` with ``key``
+        primitive, or ``g = 0`` and ``key`` all zero.  Computed once per Row;
+        for ``g`` 0 or 1, ``key`` is ``primitive``'s own tuple."""
+        coeffs = self.primitive[0]
+        g = gcd(*coeffs)
+        return (tuple(c // g for c in coeffs) if g > 1 else coeffs), g
+
     def evaluate(self, point: list[Rat]) -> bool:
         """Whether ``point`` satisfies the row, summed in integers over the
         lcm of the nonzero terms' denominators and the constant's."""
@@ -189,36 +198,37 @@ class Infeasible(NamedTuple):
 
 
 # --- row expression parsing -------------------------------------------------
+#
+# A term is ``[p[/q]][*][var][/d]``.  Each variable's coefficient and the
+# constant are summed as integer pairs (numerator, positive denominator), and
+# a ``Fraction`` is built only for each nonzero entry of the finished Row.
 
 _TERM_RE = re.compile(
-    r"^(?P<coef>\d+(?:/\d+)?)?\*?(?P<var>[A-Za-z_]\w*)?(?:/(?P<den>\d+))?$")
+    r"^(?:(?P<num>\d+)(?:/(?P<q>\d+))?)?\*?(?P<var>[A-Za-z_]\w*)?(?:/(?P<den>\d+))?$")
 _REL_RE = re.compile(r"(>=|<=|>|<)")
+_ZERO = Rat(0)
 
 
-def _parse_side(text: str) -> tuple[dict[str, Rat], Rat]:
-    """Parse one side of an inequality into (variable coeffs, constant)."""
-    coeffs: dict[str, Rat] = {}
-    constant = Rat(0)
-    text = text.replace("−", "-").replace("-", "+-").replace(" ", "")
+def _parse_side(text: str, sign: int, sums: dict[str | None, tuple[int, int]]) -> None:
+    """Add ``sign`` times each term of one side into ``sums``: variable (or
+    ``None`` for the constant) -> (numerator, denominator)."""
+    text = text.replace("\u2212", "-").replace("-", "+-").replace(" ", "")
     for raw in text.split("+"):
         if not raw:
             continue
-        sign = Rat(1)
+        s = sign
         if raw.startswith("-"):
-            sign = Rat(-1)
-            raw = raw[1:]
+            s, raw = -sign, raw[1:]
         m = _TERM_RE.match(raw)
-        if m is None or (m.group("coef") is None and m.group("var") is None):
+        if m is None or (m.group("num") is None and m.group("var") is None):
             raise ValueError(f"cannot parse term {raw!r}")
-        coef = parse_rat(m.group("coef")) if m.group("coef") else Rat(1)
-        if m.group("den"):
-            coef /= int(m.group("den"))
-        var = m.group("var")
-        if var is None:
-            constant += sign * coef
-        else:
-            coeffs[var] = coeffs.get(var, Rat(0)) + sign * coef
-    return coeffs, constant
+        num, q, var, d = m.group("num", "q", "var", "den")
+        n = s * int(num) if num else s
+        q = (int(q) if q else 1) * (int(d) if d else 1)
+        if q == 0:
+            raise ValueError(f"zero denominator in {raw!r}")
+        held = sums.get(var)
+        sums[var] = (n, q) if held is None else (held[0] * q + n * held[1], held[1] * q)
 
 
 def parse_row(expr: str, variables: tuple[str, ...], provenance: str = "") -> Row:
@@ -226,28 +236,27 @@ def parse_row(expr: str, variables: tuple[str, ...], provenance: str = "") -> Ro
 
     All variables move to the left, constants to the right; ``<=`` and ``<``
     are normalized by negation.  Unknown variable names raise KeyError so a
-    typo in a fixture cannot silently introduce a fresh unknown.
+    typo in a fixture cannot silently introduce a fresh unknown; a zero
+    denominator raises ValueError.
     """
     m = _REL_RE.search(expr)
     if m is None:
         raise ValueError(f"no relation in {expr!r}")
     rel = m.group(1)
-    left, right = expr[:m.start()], expr[m.end():]
-    lvars, lconst = _parse_side(left)
-    rvars, rconst = _parse_side(right)
-    coeffs: dict[str, Rat] = dict(lvars)
-    for var, c in rvars.items():
-        coeffs[var] = coeffs.get(var, Rat(0)) - c
-    constant = rconst - lconst
+    sums: dict[str | None, tuple[int, int]] = {}
+    _parse_side(expr[:m.start()], 1, sums)
+    _parse_side(expr[m.end():], -1, sums)
+    # sums holds left minus right; the constant moves to the right
+    flip = 1
     if rel in ("<=", "<"):
-        coeffs = {v: -c for v, c in coeffs.items()}
-        constant = -constant
-        rel = ">=" if rel == "<=" else ">"
-    unknown = set(coeffs) - set(variables)
+        flip, rel = -1, (">=" if rel == "<=" else ">")
+    n, q = sums.pop(None, (0, 1))
+    unknown = set(sums) - set(variables)
     if unknown:
         raise UnknownVariable(f"{sorted(unknown)} not among variables {variables}")
-    vec = tuple(coeffs.get(v, Rat(0)) for v in variables)
-    return Row(vec, constant, rel, provenance)
+    vec = tuple(Rat(flip * c[0], c[1]) if (c := sums.get(v)) and c[0] else _ZERO
+                for v in variables)
+    return Row(vec, Rat(-flip * n, q) if n else _ZERO, rel, provenance)
 
 
 # --- Fourier-Motzkin --------------------------------------------------------
@@ -287,10 +296,9 @@ def check_feasibility(sys: LinearSystem, *,
         table[key] = row
 
     for i, row in enumerate(sys.rows):
-        coeffs, constant = row.primitive[:2]
-        strict, g = row.relation == ">", gcd(*coeffs)
+        (key, g), constant, strict = row.direction, row.primitive[1], row.relation == ">"
         if g:
-            offer(tuple(c // g for c in coeffs), (constant, strict, i, g))
+            offer(key, (constant, strict, i, g))
         elif constant >= 0 if strict else constant > 0:
             return _self_checked(sys, Infeasible(_certificate(sys, parents, i)))
 

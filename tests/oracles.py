@@ -1,6 +1,7 @@
 """Independent exact oracles used only by the test suite.
 
-These deliberately avoid the code paths they check: the determinant oracle
+These deliberately avoid the code paths they check: the row-text oracle
+sums every term as a ``Fraction``, the determinant oracle
 is a permutation expansion, and the feasibility oracle decides mixed
 strict/non-strict systems by exact vertex enumeration over a boxed closed
 relaxation plus a centroid test, never by Fourier-Motzkin, and with its own
@@ -10,11 +11,68 @@ integer Bareiss solve rather than ``qexact.solve_linear_system``.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction as Rat
 from math import gcd
 
-from cubiclct.linsys import LinearSystem
-from cubiclct.qexact import QMatrix
+from cubiclct.linsys import LinearSystem, Row, UnknownVariable
+from cubiclct.qexact import QMatrix, parse_rat
+
+_TERM_RE = re.compile(
+    r"^(?P<coef>\d+(?:/\d+)?)?\*?(?P<var>[A-Za-z_]\w*)?(?:/(?P<den>\d+))?$")
+_REL_RE = re.compile(r"(>=|<=|>|<)")
+
+
+def _side_by_fractions(text: str) -> tuple[dict[str, Rat], Rat]:
+    """One side of an inequality as (variable coeffs, constant)."""
+    coeffs: dict[str, Rat] = {}
+    constant = Rat(0)
+    text = text.replace("\u2212", "-").replace("-", "+-").replace(" ", "")
+    for raw in text.split("+"):
+        if not raw:
+            continue
+        sign = Rat(1)
+        if raw.startswith("-"):
+            sign = Rat(-1)
+            raw = raw[1:]
+        m = _TERM_RE.match(raw)
+        if m is None or (m.group("coef") is None and m.group("var") is None):
+            raise ValueError(f"cannot parse term {raw!r}")
+        coef = parse_rat(m.group("coef")) if m.group("coef") else Rat(1)
+        if m.group("den"):
+            if int(m.group("den")) == 0:
+                raise ValueError(f"zero denominator in {raw!r}")
+            coef /= int(m.group("den"))
+        var = m.group("var")
+        if var is None:
+            constant += sign * coef
+        else:
+            coeffs[var] = coeffs.get(var, Rat(0)) + sign * coef
+    return coeffs, constant
+
+
+def parse_row_by_fractions(expr: str, variables: tuple[str, ...], provenance: str = "") -> Row:
+    """``linsys.parse_row`` as it summed terms before its integer rewrite:
+    every term is a ``Fraction``.  A zero divisor after a variable raises
+    ValueError, as in ``parse_row``, not ZeroDivisionError."""
+    m = _REL_RE.search(expr)
+    if m is None:
+        raise ValueError(f"no relation in {expr!r}")
+    rel = m.group(1)
+    lvars, lconst = _side_by_fractions(expr[:m.start()])
+    rvars, rconst = _side_by_fractions(expr[m.end():])
+    coeffs: dict[str, Rat] = dict(lvars)
+    for var, c in rvars.items():
+        coeffs[var] = coeffs.get(var, Rat(0)) - c
+    constant = rconst - lconst
+    if rel in ("<=", "<"):
+        coeffs = {v: -c for v, c in coeffs.items()}
+        constant = -constant
+        rel = ">=" if rel == "<=" else ">"
+    unknown = set(coeffs) - set(variables)
+    if unknown:
+        raise UnknownVariable(f"{sorted(unknown)} not among variables {variables}")
+    return Row(tuple(coeffs.get(v, Rat(0)) for v in variables), constant, rel, provenance)
 
 
 def determinant_by_expansion(matrix: QMatrix) -> Rat:

@@ -98,6 +98,8 @@ def test_malformed_curve_field_is_located_parse_error(capsys, tmp_path, field, m
      "error: a3: invalid YAML: cannot construct tag:yaml.org,2002:int 'x3'"),
     ("- generate: O", "- generate: Q", "error: a3: script.blocks[0].generate: unknown point 'Q'"),
     ('tau_floor: "2"', 'mode: generated\n  tau_floor: "2"', "error: a3: script: unknown key 'mode'"),
+    ('"2*a1 - a2 >= 0"', '"2*a1 - a2/0 >= 0"',
+     "error: a3: script.base_rows[1]: zero denominator in 'a2/0'"),
 ])
 def test_malformed_scalar_is_located_parse_error(capsys, tmp_path, old, new, message):
     _fixture_copy(tmp_path, "a3", old, new)
@@ -452,6 +454,65 @@ def test_fiberwise_command(capsys):
     assert data["k"] == 6
     assert data["verdict"] == "Inconclusive"
     assert data["verified"] is True
+
+
+def test_internal_error_is_not_reported_as_usage_error(capsys, monkeypatch):
+    from cubiclct import engine
+
+    def broken(fixture):
+        raise ValueError("a bug, not an input error")
+    monkeypatch.setattr(engine, "compute_case_threshold", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["case", "A5"])
+
+
+@pytest.mark.parametrize("name, old, new, command, message", [
+    ("a1", "{exceptional: E1}", "{exceptional: E9}", "case",
+     "error: step F1: unknown divisor 'O:E9'"),
+    ("cayley", "declared_order: 24", "declared_order: 25", "equivariant",
+     "error: image order 24 does not divide declared order 25"),
+    ("cayley", 'invariant_divisor: [["1", T]]', 'invariant_divisor: [["2", T]]', "equivariant",
+     "error: no component of multiplicity exactly 1"),
+    ("cayley", "L12: L12, L13: L23", "L12: L13, L13: L23", "equivariant",
+     "error: generator swap_xy is not a permutation of"),
+    ("fiber_e6", "w: 6}", "w: -6}", "fiberwise", "error: t-powers are nonnegative"),
+    ("fiber_e6", 'lct_pair: ["1/6", "2/3"]', 'lct_pair: ["0", "2/3"]', "fiberwise",
+     "error: lct values must be positive"),
+], ids=["tower", "group order", "no reduced component", "not a permutation",
+        "negative power", "zero lct"])
+def test_named_input_error_exits_two(capsys, tmp_path, name, old, new, command, message):
+    _fixture_copy(tmp_path, name, old, new)
+    code, out, err = run(capsys, "--fixtures", str(tmp_path), command, name)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message)
+
+
+def test_malformed_system_file_or_pullback_argument_is_input_error(capsys, tmp_path):
+    good = LinearSystem(("x",), (parse_row("x >= 1", ("x",)),)).to_json()
+    cert = {"multipliers": ["1", "0"],
+            "derived": {"coeffs": ["0"], "relation": ">=", "constant": "1"}}
+    files = {}
+    for label, data in [("good", good), ("no_rows", {"variables": ["x"]}),
+                        ("bad_rat", {**good, "rows": [{**good["rows"][0], "constant": "1/x"}]}),
+                        ("a_list", [1, 2]), ("cert", cert)]:
+        files[label] = tmp_path / f"{label}.json"
+        files[label].write_text(json.dumps(data))
+    (tmp_path / "broken.json").write_text("{")
+    for argv, message in [
+            (["certify", str(files["no_rows"])], "missing key 'rows'"),
+            (["certify", str(files["bad_rat"])], "not a rational literal: '1/x'"),
+            (["certify", str(files["a_list"])], "list indices must be integers"),
+            (["certify", str(tmp_path / "broken.json")], "error: Expecting property name"),
+            (["certify", str(tmp_path / "absent.json")], "No such file"),
+            (["replay", str(files["good"]), str(files["cert"])],
+             "multiplier count does not match row count"),
+            (["replay", str(files["good"]), str(files["no_rows"])], "missing key 'derived'"),
+            (["pullback", "a5", "L9", "O"], "a5: no curve or point 'L9'"),
+            (["pullback", "a5", "L3", "Q"], "a5: no curve or point 'Q'")]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert message in err, (argv, err)
 
 
 def test_usage_error_exit_code(capsys):

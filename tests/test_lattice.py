@@ -1,12 +1,14 @@
+import itertools
 from fractions import Fraction as Rat
 
 import pytest
 
+from cubiclct import qexact
 from cubiclct.lattice import (AdeType, BlowupTower, MalformedTower,
                               ResolutionLattice, TowerStep, UnsupportedType,
-                              cartan_matrix, exceptional_nef_rows,
+                              cartan_matrix, exceptional_nef_rows, inverse_cartan,
                               pullback_coefficients, tower_log_discrepancy)
-from cubiclct.qexact import is_positive_definite
+from cubiclct.qexact import is_positive_definite, solve_linear_system
 
 ALL_TYPES = [AdeType("A", n) for n in range(1, 7)] + \
             [AdeType("D", 4), AdeType("D", 5), AdeType("E", 6)]
@@ -162,3 +164,26 @@ def test_tower_unknown_reference():
     tower = BlowupTower((TowerStep("F", (("BAD", 1),), ()),))
     with pytest.raises(MalformedTower):
         tower_log_discrepancy(tower, {}, {})
+
+
+def test_cached_pullback_equals_a_fresh_solve():
+    for ade in ALL_TYPES:
+        lattice, cartan = ResolutionLattice(ade), cartan_matrix(ade)
+        for inc in itertools.product(range(3), repeat=ade.rank):
+            assert (pullback_coefficients(lattice, list(inc)).coefficients
+                    == tuple(solve_linear_system(cartan, list(inc)))), (ade.label, inc)
+
+
+def test_second_pullback_of_a_type_makes_no_bareiss_call(monkeypatch):
+    calls = []
+    bareiss = qexact._bareiss_triangularize
+    monkeypatch.setattr(qexact, "_bareiss_triangularize",
+                        lambda aug: calls.append(1) or bareiss(aug))
+    inverse_cartan.cache_clear()
+    lattice = ResolutionLattice(AdeType("D", 5))
+    pullback_coefficients(lattice, [1, 0, 0, 0, 0])
+    assert len(calls) == 5   # one solve per unit column
+    pullback_coefficients(lattice, [0, 2, 0, 1, 0])
+    assert len(calls) == 5
+    pullback_coefficients(ResolutionLattice(AdeType("A", 2)), [1, 1])
+    assert len(calls) == 7

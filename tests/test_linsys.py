@@ -10,7 +10,9 @@ from cubiclct.linsys import (DimensionMismatch, Feasible, Infeasible,
                              InfeasibilityCertificate, LinearSystem, Row,
                              SelfCheckFailed, UnknownVariable, check_feasibility,
                              parse_row, replay_certificate)
-from oracles import feasible_by_vertex_enumeration
+from cubiclct.cli import fixture_dir
+from cubiclct.model import ScriptRow, load_fixture
+from oracles import feasible_by_vertex_enumeration, parse_row_by_fractions
 
 
 def sys_of(variables, *exprs):
@@ -395,3 +397,96 @@ def test_evaluate_agrees_with_a_fraction_sum():
             for r in (row, replace(row, constant=value)):
                 expected = value > r.constant if r.relation == ">" else value >= r.constant
                 assert r.evaluate(point) == expected
+
+
+def test_row_direction_is_computed_once_per_row():
+    row = parse_row("2*x - 4*y >= 5", ("x", "y"))
+    assert row.primitive == ((2, -4), 5, 1, 1)
+    assert row.direction == ((1, -2), 2)
+    assert row.direction is row.direction
+    assert parse_row("0 > -1", ("x", "y")).direction == ((0, 0), 0)
+    rng = random.Random(707)
+    for _ in range(50):
+        for r in _rational_system(rng).rows:
+            coeffs = _fresh_primitive(r)[0]
+            g = gcd(*coeffs)
+            assert r.direction == ((tuple(c // g for c in coeffs) if g else coeffs), g)
+    assert "direction" not in vars(replace(row, constant=Rat(1)))
+
+
+def _script_rows(value):
+    """Every ScriptRow reachable through the tuples of a loaded fixture."""
+    if isinstance(value, ScriptRow):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _script_rows(item)
+
+
+def _parse_both(text, variables, provenance=""):
+    """(Row or exception type) from parse_row and from the Fraction oracle."""
+    out = []
+    for parse in (parse_row, parse_row_by_fractions):
+        try:
+            out.append(parse(text, variables, provenance))
+        except Exception as exc:  # noqa: BLE001 - the types are compared
+            out.append(type(exc))
+    return out
+
+
+def test_parse_row_agrees_with_fraction_oracle_on_fixture_rows():
+    directory = fixture_dir()
+    texts = []
+    for path in sorted(directory.glob("*.yaml")):
+        fixture = load_fixture(path.read_text(), name=path.stem)
+        if fixture.script is None:
+            continue
+        for sr in _script_rows(fixture.script):
+            if not sr.text.startswith("cartan("):   # generated, not parsed
+                texts.append(sr.text)
+                ours, oracle = _parse_both(sr.text, fixture.script.variables,
+                                           sr.row.provenance)
+                assert ours == oracle == sr.row, sr.text
+                assert all(type(c) is Rat for c in (*ours.coeffs, ours.constant))
+    assert len(texts) == 195
+
+
+def _random_row_text(rng, variables):
+    def term():
+        coef = rng.choice(["", "", "3", "12", "0", "1/2", "5/3", "4/0", "7/1"])
+        name = rng.choice([*variables, *variables, None, "zz"])
+        if name is None:
+            return coef or str(rng.randint(0, 9))
+        star = "*" if coef and rng.random() < 0.5 else ""
+        div = f"/{rng.choice([1, 2, 3, 6, 0])}" if rng.random() < 0.3 else ""
+        return f"{coef}{star}{name}{div}"
+
+    def side():
+        parts = []
+        for k in range(rng.randint(0, 4)):
+            sign = rng.choice(["+", "-", "−", "-", "+"])
+            if k == 0 and sign == "+":
+                sign = ""
+            parts.append(f"{sign}{rng.choice(['', ' '])}{term()}")
+        text = rng.choice([" ", ""]).join(parts)
+        if rng.random() < 0.03:
+            text += rng.choice(["+", "--", "**x", "2/", "1//2"])
+        return text or rng.choice(["0", ""])
+
+    relation = rng.choice([">=", "<=", ">", "<"]) if rng.random() < 0.98 else "="
+    return f"{side()} {relation} {side()}"
+
+
+def test_parse_row_agrees_with_fraction_oracle_on_random_texts():
+    rng = random.Random(2024)
+    variables = ("a1", "a2", "m", "tau")
+    kinds = set()
+    for _ in range(2000):
+        text = _random_row_text(rng, variables)
+        ours, oracle = _parse_both(text, variables)
+        assert ours == oracle, text
+        kinds.add(oracle if isinstance(oracle, type) else oracle.relation)
+        if isinstance(ours, Row):
+            assert all(type(c) is Rat for c in (*ours.coeffs, ours.constant))
+    assert kinds == {">=", ">", ValueError, UnknownVariable}
+
