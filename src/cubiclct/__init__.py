@@ -7,17 +7,15 @@ divisor thresholds, and Farkas-style infeasibility certificates for the
 linear case systems behind each lower bound.
 """
 
-from cubiclct.qexact import Rat, QMatrix, parse_rat, format_rat, solve_linear_system
-from cubiclct.lattice import AdeType, ResolutionLattice, cartan_matrix, pullback_coefficients
+from cubiclct.qexact import Rat, parse_rat, format_rat, solve_linear_system
+from cubiclct.lattice import AdeType, cartan_matrix, pullback_coefficients
 
 __all__ = [
     "Rat",
-    "QMatrix",
     "parse_rat",
     "format_rat",
     "solve_linear_system",
     "AdeType",
-    "ResolutionLattice",
     "cartan_matrix",
     "pullback_coefficients",
 ]

@@ -207,7 +207,7 @@ def cmd_pullback(args) -> int:
     fixture = _open_fixture(args.fixture, fixture_dir(args.fixtures))
     try:
         curve = fixture.model.curve(args.curve)
-        lattice = fixture.model.lattice(args.point)
+        ade = fixture.model.ade(args.point)
     except KeyError as exc:
         raise ParseError(f"{fixture.name}: no curve or point {exc}") from exc
     vec = curve.incidence_at(args.point)
@@ -215,9 +215,8 @@ def cmd_pullback(args) -> int:
         print(f"curve {args.curve} does not meet the exceptional locus over "
               f"{args.point}", file=sys.stderr)
         return EXIT_USAGE
-    pv = pullback_coefficients(lattice, list(vec), curve.id)
-    coeffs = ", ".join(format_rat(c) for c in pv.coefficients)
-    print(f"{curve.id} at {args.point} ({lattice.ade.label}): ({coeffs})")
+    coeffs = ", ".join(format_rat(c) for c in pullback_coefficients(ade, list(vec)))
+    print(f"{curve.id} at {args.point} ({ade.label}): ({coeffs})")
     return EXIT_OK
 
 

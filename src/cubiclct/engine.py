@@ -28,7 +28,7 @@ from typing import NamedTuple
 from cubiclct.lattice import pullback_coefficients, tower_log_discrepancy
 from cubiclct.linsys import (Feasible, Infeasible, InfeasibilityCertificate,
                              LinearSystem, Row, check_feasibility)
-from cubiclct.model import (Alternative, CaseFixture, ProofScript, ScriptRow,
+from cubiclct.model import (Branch, CaseFixture, ProofScript, ScriptRow,
                             SingularityProfile, SurfaceModel, Witness)
 from cubiclct.qexact import format_rat
 
@@ -62,16 +62,16 @@ def witness_lct_upper(model: SurfaceModel, witness: Witness) -> UpperBound:
             ratios.append((f"strict({cid})", Rat(1) / mult))
 
     ord_by_node: dict[str, Rat] = {}
-    for pid, lattice in model.points:
-        ords = [Rat(0)] * lattice.rank
+    for pid, ade in model.points:
+        ords = [Rat(0)] * ade.rank
         for mult, cid in witness.boundary.terms:
             vec = curve_map[cid].incidence_at(pid)
             if vec is None:
                 continue
-            coeffs = pullback_coefficients(lattice, list(vec), cid).coefficients
-            for i in range(lattice.rank):
+            coeffs = pullback_coefficients(ade, list(vec))
+            for i in range(ade.rank):
                 ords[i] += mult * coeffs[i]
-        for i, node in enumerate(lattice.nodes):
+        for i, node in enumerate(ade.nodes):
             key = f"{pid}:{node}"
             ord_by_node[key] = ords[i]
             if ords[i] > 0:
@@ -104,11 +104,6 @@ def witness_lct_upper(model: SurfaceModel, witness: Witness) -> UpperBound:
 # --- proof scripts --------------------------------------------------------------
 
 
-class Leaf(NamedTuple):
-    name: str
-    rows: tuple[ScriptRow, ...]
-
-
 class LeafResult(NamedTuple):
     name: str
     system: LinearSystem
@@ -135,26 +130,27 @@ def _tau_row(script: ProofScript) -> ScriptRow:
                      note="closure tau >= 1/omega")
 
 
-def materialize_leaves(fixture: CaseFixture) -> list[Leaf]:
-    """Expand a script into its leaf row-sets (deterministic order)."""
+def materialize_leaves(fixture: CaseFixture) -> list[Branch]:
+    """Expand a script into its leaves, each a ``Branch`` holding every row
+    of its system (deterministic order)."""
     script = fixture.script
     if script is None:
         return []
     tau = _tau_row(script)
-    leaves: list[Leaf] = []
+    leaves: list[Branch] = []
     for block in script.blocks:
-        for alt in block.alternatives or (Alternative("", ()),):
+        for alt in block.alternatives or (Branch("", ()),):
             for br in block.branches:
                 if block.name:
                     name = " / ".join(p for p in (block.name, alt.name, br.name) if p)
                 else:
                     name = f"{alt.name}: {br.name}" if alt.name else br.name
-                leaves.append(Leaf(name, (tau,) + script.base_rows + block.rows
-                                   + alt.rows + br.rows))
+                leaves.append(Branch(name, (tau,) + script.base_rows + block.rows
+                                     + alt.rows + br.rows))
     return leaves
 
 
-def _leaf_system(script: ProofScript, leaf: Leaf) -> LinearSystem:
+def _leaf_system(script: ProofScript, leaf: Branch) -> LinearSystem:
     return LinearSystem(script.variables, tuple(r.row for r in leaf.rows))
 
 

@@ -1,5 +1,8 @@
 """Dynkin data for ADE types and crepant-resolution intersection lattices.
 
+An ADE point is its ``AdeType``: the exceptional lattice of its crepant
+resolution is the Cartan matrix of that type, kept as integer rows.
+
 Node orderings are fixed once and for all:
 
 * ``A_n``  -- left-to-right chain ``E1 - E2 - ... - En``;
@@ -16,10 +19,11 @@ Every exceptional curve is a (-2)-curve, so all discrepancies vanish and
 the Cartan matrix ``(-Ei . Ej)`` has 2 on the diagonal and -1 exactly at
 the Dynkin edges.
 
-A pullback solves ``Cartan . c = incidence``.  The inverse Cartan matrix is
-solved once per type by ``qexact.solve_linear_system`` and kept as integer
-rows over one denominator (``inverse_cartan``), so each pullback is an
-integer product that builds one ``Fraction`` per coefficient.
+A pullback solves ``Cartan . c = incidence`` and returns the coefficient
+tuple ``c``.  The inverse Cartan matrix is solved once per type by
+``qexact.solve_linear_system`` and kept as integer rows over one denominator
+(``inverse_cartan``), so each pullback is an integer product that builds
+one ``Fraction`` per coefficient.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from functools import cache
 from math import lcm
 from typing import NamedTuple
 
-from cubiclct.qexact import QMatrix, solve_linear_system
+from cubiclct.qexact import solve_linear_system
 
 
 class UnsupportedType(ValueError):
@@ -70,6 +74,11 @@ class AdeType:
     def label(self) -> str:
         return f"{self.family}{self.rank}"
 
+    @property
+    def nodes(self) -> tuple[str, ...]:
+        """Exceptional curve names ``E1 .. En`` in canonical node order."""
+        return tuple(f"E{i+1}" for i in range(self.rank))
+
     def edges(self) -> list[tuple[int, int]]:
         """Dynkin edges as 0-based index pairs in canonical node order."""
         n = self.rank
@@ -90,38 +99,13 @@ class AdeType:
         return self.label
 
 
-def cartan_matrix(ade: AdeType) -> QMatrix:
-    """The intersection matrix ``(-Ei . Ej)`` of the exceptional curves."""
+def cartan_matrix(ade: AdeType) -> tuple[tuple[int, ...], ...]:
+    """The intersection matrix ``(-Ei . Ej)`` of the exceptional curves, as rows."""
     n = ade.rank
     rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i, j in ade.edges():
         rows[i][j] = rows[j][i] = -1
-    return QMatrix.from_rows(rows)
-
-
-class ResolutionLattice(NamedTuple):
-    """Exceptional lattice of the crepant resolution over one singular point."""
-
-    ade: AdeType
-
-    @property
-    def nodes(self) -> tuple[str, ...]:
-        return tuple(f"E{i+1}" for i in range(self.ade.rank))
-
-    @property
-    def rank(self) -> int:
-        return self.ade.rank
-
-    def cartan(self) -> QMatrix:
-        return cartan_matrix(self.ade)
-
-
-class PullbackVector(NamedTuple):
-    """Coefficients c with Cartan . c = incidence, for one curve at one point."""
-
-    curve: str
-    incidence: tuple[int, ...]
-    coefficients: tuple[Rat, ...]
+    return tuple(map(tuple, rows))
 
 
 @cache
@@ -136,35 +120,27 @@ def inverse_cartan(ade: AdeType) -> tuple[tuple[tuple[int, ...], ...], int]:
                        for j in range(n)) for i in range(n)), den
 
 
-def pullback_coefficients(lattice: ResolutionLattice,
-                          incidence: list[int],
-                          curve: str = "") -> PullbackVector:
+def pullback_coefficients(ade: AdeType, incidence: list[int]) -> tuple[Rat, ...]:
     """``c = Cartan^-1 . incidence``, the solution of ``Cartan . c = incidence``:
     an integer product with the type's cached inverse, over its denominator.
 
     The inverse Cartan matrix is entrywise positive, so for a nonzero
     incidence vector every coefficient is strictly positive.
     """
-    if len(incidence) != lattice.rank:
+    if len(incidence) != ade.rank:
         raise ValueError("incidence length does not match lattice rank")
     if any(v < 0 for v in incidence):
         raise ValueError("incidence numbers are nonnegative")
-    rows, den = inverse_cartan(lattice.ade)
-    coeffs = tuple(Rat(sum(m * v for m, v in zip(row, incidence) if v), den) for row in rows)
-    return PullbackVector(curve, tuple(incidence), coeffs)
+    rows, den = inverse_cartan(ade)
+    return tuple(Rat(sum(m * v for m, v in zip(row, incidence) if v), den) for row in rows)
 
 
-def exceptional_nef_rows(lattice: ResolutionLattice) -> list[dict[str, Rat]]:
+def exceptional_nef_rows(ade: AdeType) -> list[dict[str, int]]:
     """Per node j, the linear form (Cartan row j) . a, to be constrained >= 0.
 
     Variables are named ``a1 .. ak`` in canonical node order.
     """
-    cartan = lattice.cartan()
-    forms = []
-    for i in range(lattice.rank):
-        form = {f"a{j+1}": cartan[i, j] for j in range(lattice.rank) if cartan[i, j] != 0}
-        forms.append(form)
-    return forms
+    return [{f"a{j+1}": c for j, c in enumerate(row) if c} for row in cartan_matrix(ade)]
 
 
 class TowerStep(NamedTuple):

@@ -156,12 +156,16 @@ class LinearSystem:
 
     @staticmethod
     def from_json(data: dict) -> "LinearSystem":
-        variables = tuple(data["variables"])
-        rows = tuple(
+        variables, rows = data["variables"], data["rows"]
+        if (not isinstance(variables, list) or not all(isinstance(v, str) for v in variables)
+                or len(set(variables)) != len(variables)):
+            raise ValueError(f"variables: expected a list of distinct strings, got {variables!r}")
+        if not isinstance(rows, list):
+            raise ValueError(f"rows: expected a list, got {rows!r}")
+        return LinearSystem(tuple(variables), tuple(
             Row(tuple(parse_rat(c) for c in r["coeffs"]),
                 parse_rat(r["constant"]), r["relation"], r.get("provenance", ""))
-            for r in data["rows"])
-        return LinearSystem(variables, rows)
+            for r in rows))
 
 
 class InfeasibilityCertificate(NamedTuple):

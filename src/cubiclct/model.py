@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import yaml
 
-from cubiclct.lattice import (AdeType, BlowupTower, ResolutionLattice, TowerStep,
-                              exceptional_nef_rows, pullback_coefficients)
+from cubiclct.lattice import (AdeType, BlowupTower, TowerStep, exceptional_nef_rows,
+                              pullback_coefficients)
 from cubiclct.linsys import Row, parse_row
 from cubiclct.qexact import format_rat, parse_rat
 
@@ -107,14 +107,14 @@ class BoundaryDivisor(NamedTuple):
 
 class SurfaceModel(NamedTuple):
     profile: SingularityProfile
-    points: tuple[tuple[str, ResolutionLattice], ...]
+    points: tuple[tuple[str, AdeType], ...]
     curves: tuple[NamedCurve, ...]
     equivalences: tuple[BoundaryDivisor, ...]
 
-    def lattice(self, point: str) -> ResolutionLattice:
-        for pid, lat in self.points:
+    def ade(self, point: str) -> AdeType:
+        for pid, ade in self.points:
             if pid == point:
-                return lat
+                return ade
         raise KeyError(point)
 
     def curve(self, cid: str) -> NamedCurve:
@@ -142,12 +142,9 @@ class ScriptRow(NamedTuple):
     redundant: bool = False
 
 
-class Alternative(NamedTuple):
-    name: str
-    rows: tuple[ScriptRow, ...]
-
-
 class Branch(NamedTuple):
+    """Named script rows: a block's alternative or branch, or a whole leaf."""
+
     name: str
     rows: tuple[ScriptRow, ...]
 
@@ -155,7 +152,7 @@ class Branch(NamedTuple):
 class Block(NamedTuple):
     name: str                       # "" for an unnamed block
     rows: tuple[ScriptRow, ...]
-    alternatives: tuple[Alternative, ...]
+    alternatives: tuple[Branch, ...]
     branches: tuple[Branch, ...]
     generate: str | None            # the A_n point whose case tree gave ``branches``
 
@@ -177,17 +174,13 @@ class ProofScript(NamedTuple):
 class GroupGenerator(NamedTuple):
     name: str
     lines: tuple[tuple[str, str], ...]
-    points: tuple[tuple[str, str], ...] = ()
 
 
 class GroupData(NamedTuple):
     name: str
     declared_order: int
-    expected_image_order: int
     generators: tuple[GroupGenerator, ...]
     invariant_divisor: tuple[tuple[Rat, str], ...]
-    extra_degrees: tuple[tuple[str, int], ...] = ()  # non line/conic components
-    conic_residual_pairs: str = ""
     assumptions: tuple[Assumption, ...] = ()
 
 
@@ -265,28 +258,27 @@ def _parse_script_rows(items, variables, ctx) -> tuple[ScriptRow, ...]:
     return tuple(rows)
 
 
-def _parse_alternatives(items, variables, ctx) -> tuple[Alternative, ...]:
+def _parse_alternatives(items, variables, ctx) -> tuple[Branch, ...]:
     alts = []
     for i, item in enumerate(_shaped(items or [], list, ctx)):
         where = f"{ctx}[{i}]"
         name = _string(_req(item, "name", where), f"{where}.name")
-        alts.append(Alternative(name, _parse_script_rows(item.get("rows"), variables, where)))
+        alts.append(Branch(name, _parse_script_rows(item.get("rows"), variables, where)))
     return tuple(alts)
 
 
-def generate_case_tree(lattice: ResolutionLattice,
-                       variables: tuple[str, ...]) -> tuple[Branch, ...]:
+def generate_case_tree(ade: AdeType, variables: tuple[str, ...]) -> tuple[Branch, ...]:
     """Adjunction case split for one A_n chain: one branch per interior
     segment (``Cartan_j . a > tau``) and one per double point
     (``Cartan_j . a > tau - a_{j+1}`` and ``Cartan_{j+1} . a > tau - a_j``),
     in chain order: E1 interior, E1^E2, E2 interior, ...
 
     ``variables`` must hold ``tau`` and ``a1`` .. ``an``; a ParseError if not,
-    or if ``lattice`` is not an A_n chain.
+    or if ``ade`` is not an A_n chain.
     """
-    if lattice.ade.family != "A":
-        raise ParseError(f"case generation needs an A_n point, got {lattice.ade.label}")
-    n = lattice.rank
+    if ade.family != "A":
+        raise ParseError(f"case generation needs an A_n point, got {ade.label}")
+    n = ade.rank
     missing = [v for v in [f"a{j}" for j in range(1, n + 1)] + ["tau"] if v not in variables]
     if missing:
         raise ParseError(f"script variables lack {', '.join(missing)}")
@@ -311,7 +303,7 @@ def generate_case_tree(lattice: ResolutionLattice,
     return tuple(branches)
 
 
-def _parse_block(spec, variables, lattices: dict[str, ResolutionLattice], ctx) -> Block:
+def _parse_block(spec, variables, points: dict[str, AdeType], ctx) -> Block:
     """One script block; ``generate: <point>`` expands to that point's case tree."""
     _known(spec, ("name", "rows", "alternatives", "branches", "generate"), ctx)
     point = spec.get("generate")
@@ -324,10 +316,10 @@ def _parse_block(spec, variables, lattices: dict[str, ResolutionLattice], ctx) -
                                            f"{ctx}.branches")))
     elif "branches" in spec:
         raise ParseError(f"{ctx}: a block gives branches or generate, not both")
-    elif point not in list(lattices):   # a list: an unhashable value is only unknown
+    elif point not in list(points):   # a list: an unhashable value is only unknown
         raise DanglingReference(f"{ctx}.generate: unknown point {point!r}")
     else:
-        branches = _scalar(lambda lat: generate_case_tree(lat, variables), lattices[point],
+        branches = _scalar(lambda ade: generate_case_tree(ade, variables), points[point],
                            f"{ctx}.generate")
     return Block(_string(spec.get("name", ""), f"{ctx}.name"),
                  _parse_script_rows(spec.get("rows"), variables, f"{ctx}.rows"),
@@ -512,7 +504,7 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
             raise ParseError(f"points.{pid}: bad orientation {orientation!r}")
         if orientation == "reversed" and ade.family != "A":
             raise ParseError(f"points.{pid}: only A_n chains can be reversed")
-        points.append((pid, ResolutionLattice(ade), orientation))
+        points.append((pid, ade, orientation))
 
     point_ids = [p[0] for p in points]
     orientations = {pid: o for pid, _, o in points}
@@ -609,8 +601,8 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
             raise ParseError(f"script.variables: repeated name in {list(variables)}")
         tau_floor = _scalar(parse_rat, _req(sspec, "tau_floor", "script"), "script.tau_floor")
         base_rows = _parse_script_rows(sspec.get("base_rows"), variables, "script.base_rows")
-        lattices = {pid: lat for pid, lat, _ in points}
-        blocks = tuple(_parse_block(bspec, variables, lattices, f"script.blocks[{i}]")
+        ades = {pid: ade for pid, ade, _ in points}
+        blocks = tuple(_parse_block(bspec, variables, ades, f"script.blocks[{i}]")
                        for i, bspec in enumerate(_shaped(sspec.get("blocks") or [], list,
                                                          "script.blocks")))
         if not blocks:   # a script without leaves would verify vacuously
@@ -621,29 +613,23 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
 
     group = None
     if "group" in doc and doc["group"] is not None:
-        gspec = doc["group"]
+        gspec = _known(doc["group"], ("name", "declared_order", "generators",
+                                      "invariant_divisor", "assumptions"), "group")
         gens = []
         for i, gen in enumerate(_shaped(_req(gspec, "generators", "group"), list,
                                         "group.generators")):
             ctx = f"group.generators[{i}]"
+            _known(gen, ("name", "lines"), ctx)
             lines = tuple(_shaped(_req(gen, "lines", ctx), dict, f"{ctx}.lines").items())
-            pts = tuple(_shaped(gen.get("points") or {}, dict, f"{ctx}.points").items())
             for k, v in lines:
                 if k not in curve_ids or _string(v, f"{ctx}.lines.{k}") not in curve_ids:
                     raise DanglingReference(f"{ctx}: unknown line {k!r} or {v!r}")
-            gens.append(GroupGenerator(_string(_req(gen, "name", ctx), f"{ctx}.name"), lines, pts))
-        inv = parse_terms(_req(gspec, "invariant_divisor", "group"), "group.invariant_divisor")
+            gens.append(GroupGenerator(_string(_req(gen, "name", ctx), f"{ctx}.name"), lines))
         group = GroupData(
             _string(_req(gspec, "name", "group"), "group.name"),
             _scalar(_integer, _req(gspec, "declared_order", "group"), "group.declared_order"),
-            _scalar(_integer, _req(gspec, "expected_image_order", "group"),
-                    "group.expected_image_order"),
-            tuple(gens), inv,
-            tuple((k, _scalar(_integer, v, f"group.extra_degrees.{k}"))
-                  for k, v in _shaped(gspec.get("extra_degrees") or {}, dict,
-                                      "group.extra_degrees").items()),
-            _shaped(gspec.get("elimination") or {}, dict,
-                    "group.elimination").get("conic_residual_pairs", ""),
+            tuple(gens),
+            parse_terms(_req(gspec, "invariant_divisor", "group"), "group.invariant_divisor"),
             _parse_assumptions(gspec.get("assumptions"), (), "group.assumptions"))
 
     fiberwise = None
@@ -675,7 +661,7 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
             verdict,
             _strings(_req(fspec, "fiber_profiles", "fiberwise"), "fiberwise.fiber_profiles", 2))
 
-    model = SurfaceModel(profile, tuple((pid, lat) for pid, lat, _ in points),
+    model = SurfaceModel(profile, tuple((pid, ade) for pid, ade, _ in points),
                          tuple(curves), equivalences)
     expected = (_scalar(parse_rat, doc["expected_omega"], "expected_omega")
                 if "expected_omega" in doc else None)
@@ -690,11 +676,11 @@ def _pullback_cache(model: SurfaceModel):
     # Malformed incidence vectors are left out: validate_fixture reports them,
     # and the intersection audit skips them instead of failing on them.
     cache: dict[tuple[str, str], tuple[Rat, ...]] = {}
-    for pid, lat in model.points:
+    for pid, ade in model.points:
         for c in model.curves:
             vec = c.incidence_at(pid)
-            if vec is not None and len(vec) == lat.rank and all(v >= 0 for v in vec):
-                cache[(c.id, pid)] = pullback_coefficients(lat, list(vec), c.id).coefficients
+            if vec is not None and len(vec) == ade.rank and all(v >= 0 for v in vec):
+                cache[(c.id, pid)] = pullback_coefficients(ade, list(vec))
     return cache
 
 
@@ -742,7 +728,7 @@ def validate_fixture(fixture: CaseFixture) -> list[str]:
         if c.degree != expected_degree:
             findings.append(f"curve {c.id}: degree {c.degree} does not match kind {c.kind}")
         for pid, vec in c.incidence:
-            if len(vec) != model.lattice(pid).rank:
+            if len(vec) != model.ade(pid).rank:
                 findings.append(f"curve {c.id}: incidence at {pid} has wrong length")
             if any(v < 0 for v in vec):
                 findings.append(f"curve {c.id}: negative incidence at {pid}")
@@ -788,7 +774,7 @@ def validate_fixture(fixture: CaseFixture) -> list[str]:
     if script is not None:
         base = {(r.row.coeffs, r.row.constant, r.row.relation) for r in script.base_rows}
         for point in dict.fromkeys(b.generate for b in script.blocks if b.generate):
-            for j, form in enumerate(exceptional_nef_rows(model.lattice(point))):
+            for j, form in enumerate(exceptional_nef_rows(model.ade(point))):
                 coeffs = tuple(form.get(v, Rat(0)) for v in script.variables)
                 if (coeffs, Rat(0), ">=") not in base:
                     findings.append(f"script: nef row for node {j+1} at {point} "

@@ -1,10 +1,11 @@
-"""Exact rational scalars, vectors and matrices.
+"""Exact rational scalars and the one linear solve.
 
 ``Rat`` is an alias for :class:`fractions.Fraction`: arbitrary-precision,
 always stored reduced with positive denominator, which is exactly the
-invariant the rest of the package relies on.  Matrices are dense and
-immutable; linear systems are solved by fraction-free (Bareiss) elimination
-so intermediate entries stay integral after one row scaling.
+invariant the rest of the package relies on.  A matrix is a sequence of
+rows of ``int`` or ``Rat``; ``solve_linear_system`` solves a square system
+by fraction-free (Bareiss) elimination, so intermediate entries stay
+integral after one row scaling.
 
 No floating point appears anywhere in this module or its callers.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 
 Rat = Fraction
@@ -23,10 +24,6 @@ _RAT_RE = re.compile(r"^([+-−]?\d+)(?:/(\d+))?$")
 
 class SingularMatrix(ValueError):
     """Raised when elimination hits a zero pivot column."""
-
-
-class NotSymmetric(ValueError):
-    """Raised when a symmetric matrix was required."""
 
 
 def parse_rat(text: str) -> Rat:
@@ -52,39 +49,7 @@ def format_rat(value: Rat) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-# A dataclass, not a NamedTuple: its ``__getitem__`` takes an ``(i, j)`` pair.
-@dataclass(frozen=True)
-class QMatrix:
-    """Dense immutable matrix of rationals."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[Rat, ...], ...]
-
-    @staticmethod
-    def from_rows(rows: list[list[Rat | int]]) -> "QMatrix":
-        if not rows:
-            raise ValueError("empty matrix")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged rows")
-        data = tuple(tuple(Rat(x) for x in r) for r in rows)
-        return QMatrix(len(rows), width, data)
-
-    def __getitem__(self, ij: tuple[int, int]) -> Rat:
-        i, j = ij
-        return self.entries[i][j]
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.rows) for j in range(i + 1, self.cols))
-
-    def leading_minor(self, k: int) -> "QMatrix":
-        return QMatrix.from_rows([[self.entries[i][j] for j in range(k)] for i in range(k)])
-
-
-def _integerize_rows(rows: list[list[Rat]]) -> list[list[int]]:
+def _integerize_rows(rows: list[list[Rat | int]]) -> list[list[int]]:
     # Row scaling by the lcm of denominators keeps A*x = b solutions intact.
     out = []
     for row in rows:
@@ -93,28 +58,24 @@ def _integerize_rows(rows: list[list[Rat]]) -> list[list[int]]:
     return out
 
 
-def _bareiss_triangularize(aug: list[list[int]]) -> tuple[list[list[int]], int, int]:
+def _bareiss_triangularize(aug: list[list[int]]) -> tuple[list[list[int]], int]:
     """Fraction-free elimination on an n x m integer matrix (in place copy).
 
-    Returns the triangularized matrix, the number of pivots found and the
-    sign of the row permutation applied.  Intermediate entries are exact
-    subdeterminants, so divisions are exact.
+    Returns the triangularized matrix and the number of pivots found.
+    Intermediate entries are exact subdeterminants, so divisions are exact.
     """
     n = len(aug)
     m = len(aug[0]) if n else 0
     aug = [row[:] for row in aug]
     prev_pivot = 1
     piv = 0
-    sign = 1
     for col in range(min(n, m)):
         if piv >= n:
             break
         pivot_row = next((r for r in range(piv, n) if aug[r][col] != 0), None)
         if pivot_row is None:
             continue
-        if pivot_row != piv:
-            aug[piv], aug[pivot_row] = aug[pivot_row], aug[piv]
-            sign = -sign
+        aug[piv], aug[pivot_row] = aug[pivot_row], aug[piv]
         p = aug[piv][col]
         for r in range(piv + 1, n):
             factor = aug[r][col]
@@ -122,39 +83,22 @@ def _bareiss_triangularize(aug: list[list[int]]) -> tuple[list[list[int]], int, 
                 aug[r][c] = (p * aug[r][c] - factor * aug[piv][c]) // prev_pivot
         prev_pivot = p
         piv += 1
-    return aug, piv, sign
+    return aug, piv
 
 
-def determinant(a: QMatrix) -> Rat:
-    """Exact determinant via Bareiss on a row-integerized copy."""
-    if a.rows != a.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return Rat(1)
-    tri, piv, sign = _bareiss_triangularize(_integerize_rows(list(a.entries)))
-    if piv < n:
-        return Rat(0)
-    # Integerizing scaled each row, and so the determinant, by that row's lcm.
-    scale = math.prod(math.lcm(*(x.denominator for x in row)) for row in a.entries)
-    return Rat(sign * tri[n - 1][n - 1], scale)
+def solve_linear_system(a: Sequence[Sequence[Rat | int]], b: Sequence[Rat | int]) -> list[Rat]:
+    """Solve ``A x = b`` exactly for square nonsingular ``A``, given as rows.
 
-
-def solve_linear_system(a: QMatrix, b: list[Rat | int]) -> list[Rat]:
-    """Solve ``A x = b`` exactly for square nonsingular ``A``.
-
-    Raises ``SingularMatrix`` when elimination finds a zero pivot column,
-    which in this package signals a malformed lattice fixture.
+    Raises ``SingularMatrix`` when ``A`` is not square or elimination finds
+    a zero pivot column, which in this package signals a malformed lattice.
     """
-    if a.rows != a.cols:
+    n = len(a)
+    if any(len(row) != n for row in a):
         raise SingularMatrix("matrix is not square")
-    n = a.rows
     if len(b) != n:
         raise ValueError("right-hand side has wrong length")
-    aug = [list(a.entries[i]) + [Rat(b[i])] for i in range(n)]
-    int_aug = _integerize_rows(aug)
-    tri, piv, _ = _bareiss_triangularize(int_aug)
-    if piv < n or tri[n - 1][n - 1] == 0:
+    tri, piv = _bareiss_triangularize(_integerize_rows([[*a[i], b[i]] for i in range(n)]))
+    if piv < n:
         raise SingularMatrix("zero pivot column during elimination")
     x: list[Rat] = [Rat(0)] * n
     for i in range(n - 1, -1, -1):
@@ -163,13 +107,3 @@ def solve_linear_system(a: QMatrix, b: list[Rat | int]) -> list[Rat]:
             acc -= tri[i][j] * x[j]
         x[i] = acc / tri[i][i]
     return x
-
-
-def is_positive_definite(a: QMatrix) -> bool:
-    """Exact Sylvester criterion: all leading principal minors positive."""
-    if not a.is_symmetric():
-        raise NotSymmetric("matrix is not symmetric")
-    for k in range(1, a.rows + 1):
-        if determinant(a.leading_minor(k)) <= 0:
-            return False
-    return True

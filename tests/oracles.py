@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they check: the row-text oracle
 sums every term as a ``Fraction``, the determinant oracle
-is a permutation expansion, and the feasibility oracle decides mixed
+is a permutation expansion (and the Sylvester test of positive definiteness
+is built on it), and the feasibility oracle decides mixed
 strict/non-strict systems by exact vertex enumeration over a boxed closed
 relaxation plus a centroid test, never by Fourier-Motzkin, and with its own
 integer Bareiss solve rather than ``qexact.solve_linear_system``.
@@ -16,7 +17,7 @@ from fractions import Fraction as Rat
 from math import gcd
 
 from cubiclct.linsys import LinearSystem, Row, UnknownVariable
-from cubiclct.qexact import QMatrix, parse_rat
+from cubiclct.qexact import parse_rat
 
 _TERM_RE = re.compile(
     r"^(?P<coef>\d+(?:/\d+)?)?\*?(?P<var>[A-Za-z_]\w*)?(?:/(?P<den>\d+))?$")
@@ -75,9 +76,10 @@ def parse_row_by_fractions(expr: str, variables: tuple[str, ...], provenance: st
     return Row(tuple(coeffs.get(v, Rat(0)) for v in variables), constant, rel, provenance)
 
 
-def determinant_by_expansion(matrix: QMatrix) -> Rat:
-    """Sum over permutations; exponential, fine for n <= 6."""
-    n = matrix.rows
+def determinant_by_expansion(matrix) -> Rat:
+    """Sum over permutations of a square matrix given as rows; exponential,
+    fine for n <= 6."""
+    n = len(matrix)
     total = Rat(0)
     for perm in itertools.permutations(range(n)):
         sign = 1
@@ -88,9 +90,20 @@ def determinant_by_expansion(matrix: QMatrix) -> Rat:
         sign = -1 if inversions % 2 else 1
         prod = Rat(1)
         for i in range(n):
-            prod *= matrix[i, perm[i]]
+            prod *= matrix[i][perm[i]]
         total += sign * prod
     return total
+
+
+def positive_definite_by_expansion(matrix) -> bool:
+    """Sylvester's criterion for a symmetric matrix given as rows: every
+    leading principal minor, each a ``determinant_by_expansion``, is positive.
+    A matrix that is not symmetric is a ValueError."""
+    n = len(matrix)
+    if any(matrix[i][j] != matrix[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
+    return all(determinant_by_expansion([row[:k] for row in matrix[:k]]) > 0
+               for k in range(1, n + 1))
 
 
 def _box_bound(system: LinearSystem) -> int:

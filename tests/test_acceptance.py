@@ -15,13 +15,11 @@ from cubiclct.engine import (assemble_table, classify_profile, compute_case_thre
 from cubiclct.equivariant import invariant_threshold
 from cubiclct.fiberwise import Poly, SubstitutionMap, biregularity_criterion, \
     substitute_and_factor
-from cubiclct.lattice import AdeType, ResolutionLattice, cartan_matrix, \
-    pullback_coefficients
+from cubiclct.lattice import AdeType, cartan_matrix, pullback_coefficients
 from cubiclct.linsys import Feasible, Infeasible, LinearSystem, Row, \
     check_feasibility, parse_row, replay_certificate
 from cubiclct.model import ADMISSIBLE_PROFILES, SingularityProfile, generate_case_tree
-from cubiclct.qexact import is_positive_definite
-from oracles import feasible_by_vertex_enumeration
+from oracles import feasible_by_vertex_enumeration, positive_definite_by_expansion
 
 FIXTURES = load_all_fixtures(fixture_dir())
 CASES = case_fixtures(FIXTURES)
@@ -69,8 +67,7 @@ def test_criterion_2_pullback_regression():
         ("A5", [0, 0, 0, 1, 0], [Rat(1, 3), Rat(2, 3), Rat(1), Rat(4, 3), Rat(2, 3)]),
     ]
     for label, inc, expected in cases:
-        lattice = ResolutionLattice(AdeType.parse(label))
-        got = list(pullback_coefficients(lattice, inc).coefficients)
+        got = list(pullback_coefficients(AdeType.parse(label), inc))
         assert got == expected, (label, inc)
     _report(2, "all seven reference pullback coefficient vectors match exactly")
 
@@ -122,10 +119,9 @@ def test_criterion_3_certificate_soundness():
 def test_criterion_4_generated_case_lists():
     def systems(label, tau):
         ade = AdeType.parse(label)
-        lattice = ResolutionLattice(ade)
         variables = tuple(f"a{i+1}" for i in range(ade.rank)) + ("tau",)
         out = []
-        for br in generate_case_tree(lattice, variables):
+        for br in generate_case_tree(ade, variables):
             # tau is the last variable: fix it at tau
             out.append(tuple((r.row.coeffs[:-1], r.row.constant - r.row.coeffs[-1] * tau,
                               r.row.relation) for r in br.rows))
@@ -229,14 +225,14 @@ def test_criterion_8_property_suites():
     # Cartan positive definiteness for every supported type
     for ade in [AdeType("A", n) for n in range(1, 7)] + \
                [AdeType("D", 4), AdeType("D", 5), AdeType("E", 6)]:
-        assert is_positive_definite(cartan_matrix(ade)), ade.label
+        assert positive_definite_by_expansion(cartan_matrix(ade)), ade.label
 
     # A_n inverse-Cartan closed form for n <= 6
     for n in range(1, 7):
-        lattice = ResolutionLattice(AdeType("A", n))
+        ade = AdeType("A", n)
         for j in range(1, n + 1):
             inc = [1 if i == j else 0 for i in range(1, n + 1)]
-            c = pullback_coefficients(lattice, inc).coefficients
+            c = pullback_coefficients(ade, inc)
             assert all(c[i - 1] == Rat(min(i, j) * (n + 1 - max(i, j)), n + 1)
                        for i in range(1, n + 1))
 

@@ -151,8 +151,6 @@ def _fixture_with(tmp_path, name, path, value):
     ("a1", ("witness", "tower", 0, "through", 0), "curve",
      "witness.tower[0].through[0]: expected a mapping, got 'curve'"),
     ("cayley", ("group", "generators"), 5, "group.generators: expected a list, got 5"),
-    ("cayley", ("group", "elimination"), ["x"],
-     "group.elimination: expected a mapping, got ['x']"),
     ("fiber_e6", ("fiberwise", "source_poly"), 5,
      "fiberwise.source_poly: expected a list, got 5"),
     ("fiber_e6", ("fiberwise", "source_poly", 0), ["1", [3, 0, 0, 0, 0], 2],
@@ -162,13 +160,24 @@ def _fixture_with(tmp_path, name, path, value):
     ("fiber_e6", ("fiberwise", "target_poly", 1), "x",
      "fiberwise.target_poly[1]: expected a list, got 'x'"),
 ], ids=["curves", "equivalences", "tower", "through", "through entry", "generators",
-        "elimination", "poly", "poly term of three", "poly exponents", "poly term string"])
+        "poly", "poly term of three", "poly exponents", "poly term string"])
 def test_list_field_of_wrong_shape_is_located_parse_error(capsys, tmp_path, name, path,
                                                           value, message):
     _fixture_with(tmp_path, name, path, value)
     command = {"cayley": "equivariant", "fiber_e6": "fiberwise"}.get(name, "case")
     code, out, err = run(capsys, "--fixtures", str(tmp_path), command, name)
     assert (code, out, err) == (2, "", f"error: {name}: {message}\n")
+
+
+@pytest.mark.parametrize("path, message", [
+    (("group", "image_order"), "group: unknown key 'image_order'"),
+    (("group", "elimination"), "group: unknown key 'elimination'"),
+    (("group", "generators", 0, "points"), "group.generators[0]: unknown key 'points'"),
+], ids=["group", "dropped group field", "generator"])
+def test_unknown_group_key_is_located_parse_error(capsys, tmp_path, path, message):
+    _fixture_with(tmp_path, "cayley", path, {"O1": "O2"})
+    code, out, err = run(capsys, "--fixtures", str(tmp_path), "equivariant", "cayley")
+    assert (code, out, err) == (2, "", f"error: cayley: {message}\n")
 
 
 @pytest.mark.parametrize("name, path, message", [
@@ -495,7 +504,11 @@ def test_malformed_system_file_or_pullback_argument_is_input_error(capsys, tmp_p
     files = {}
     for label, data in [("good", good), ("no_rows", {"variables": ["x"]}),
                         ("bad_rat", {**good, "rows": [{**good["rows"][0], "constant": "1/x"}]}),
-                        ("a_list", [1, 2]), ("cert", cert)]:
+                        ("a_list", [1, 2]), ("cert", cert),
+                        ("letters", {**good, "variables": "x"}),
+                        ("numbers", {**good, "variables": [1]}),
+                        ("repeated", {"variables": ["x", "x"], "rows": []}),
+                        ("rows_mapping", {**good, "rows": {}})]:
         files[label] = tmp_path / f"{label}.json"
         files[label].write_text(json.dumps(data))
     (tmp_path / "broken.json").write_text("{")
@@ -503,6 +516,13 @@ def test_malformed_system_file_or_pullback_argument_is_input_error(capsys, tmp_p
             (["certify", str(files["no_rows"])], "missing key 'rows'"),
             (["certify", str(files["bad_rat"])], "not a rational literal: '1/x'"),
             (["certify", str(files["a_list"])], "list indices must be integers"),
+            (["certify", str(files["letters"])],
+             "variables: expected a list of distinct strings, got 'x'"),
+            (["certify", str(files["numbers"])],
+             "variables: expected a list of distinct strings, got [1]"),
+            (["replay", str(files["repeated"]), str(files["cert"])],
+             "variables: expected a list of distinct strings, got ['x', 'x']"),
+            (["certify", str(files["rows_mapping"])], "rows: expected a list, got {}"),
             (["certify", str(tmp_path / "broken.json")], "error: Expecting property name"),
             (["certify", str(tmp_path / "absent.json")], "No such file"),
             (["replay", str(files["good"]), str(files["cert"])],

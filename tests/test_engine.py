@@ -7,7 +7,7 @@ from cubiclct.cli import case_fixtures, fixture_dir, load_all_fixtures
 from cubiclct.engine import (Inconsistent, NotSNC, assemble_table, classify_profile,
                              compute_case_threshold, ke_criterion, materialize_leaves,
                              mutation_audit, witness_lct_upper)
-from cubiclct.lattice import AdeType, ResolutionLattice
+from cubiclct.lattice import AdeType
 from cubiclct.linsys import Feasible, Infeasible, LinearSystem, check_feasibility, parse_row, replay_certificate
 from cubiclct.model import (ADMISSIBLE_PROFILES, ParseError, SingularityProfile,
                             generate_case_tree, load_fixture)
@@ -102,9 +102,8 @@ witness:
 
 def _tree_systems(label, tau_floor):
     ade = AdeType.parse(label)
-    lattice = ResolutionLattice(ade)
     variables = tuple(f"a{i+1}" for i in range(ade.rank)) + ("tau",)
-    branches = generate_case_tree(lattice, variables)
+    branches = generate_case_tree(ade, variables)
     systems = []
     for br in branches:
         # tau is the last variable: fix it at tau_floor
@@ -158,9 +157,8 @@ def test_a1_case_tree_single_branch():
 
 
 def test_case_tree_rejects_non_chain():
-    lattice = ResolutionLattice(AdeType("D", 4))
     with pytest.raises(ParseError, match="needs an A_n point, got D4"):
-        generate_case_tree(lattice, ("a1", "a2", "a3", "a4", "tau"))
+        generate_case_tree(AdeType("D", 4), ("a1", "a2", "a3", "a4", "tau"))
 
 
 # --- lower bounds and case results ---------------------------------------------

@@ -27,12 +27,6 @@ def test_cayley_orbits_six_and_three():
     assert sorted(len(o) for o in orbits) == [3, 6]
 
 
-def test_cayley_point_orbit_transitive():
-    gens = [dict(g.points) for g in CAYLEY.group.generators]
-    orbits = orbit_partition(gens, ["O1", "O2", "O3", "O4"])
-    assert [len(o) for o in orbits] == [4]
-
-
 def test_xyzt3_line_orbit_transitive():
     orbits = orbit_partition(_line_gens(XYZT3), _lines(XYZT3))
     assert [len(o) for o in orbits] == [3]
@@ -78,7 +72,7 @@ def test_invariant_upper_bound_relabeling():
     gens = tuple(
         GroupGenerator(g.name, tuple((relabel[a], relabel[b]) for a, b in g.lines))
         for g in XYZT3.group.generators)
-    group = GroupData("S3xZ3", 18, 6, gens,
+    group = GroupData("S3xZ3", 18, gens,
                       tuple((m, relabel[c]) for m, c in XYZT3.group.invariant_divisor))
     divisor = [(m, relabel[c]) for m, c in XYZT3.group.invariant_divisor]
     assert invariant_upper_bound(group, divisor, list(relabel.values())) == Rat(1)
@@ -99,7 +93,7 @@ def test_elimination_succeeds_on_both_fixtures():
 
 def test_elimination_fails_with_artificial_fixed_line():
     gens = (GroupGenerator("id", tuple((x, x) for x in ("L1", "L2", "L3"))),)
-    group = GroupData("trivial", 1, 1, gens, ((Rat(1), "L1"),))
+    group = GroupData("trivial", 1, gens, ((Rat(1), "L1"),))
     with pytest.raises(EliminationFails) as err:
         eliminate_invariant_curves(group, ["L1", "L2", "L3"])
     assert "L1" in str(err.value) or "degree" in str(err.value)
@@ -122,10 +116,8 @@ def test_invariant_threshold_xyzt3():
 
 def test_trivial_group_keeps_only_the_upper_bound():
     trivial_gen = GroupGenerator(
-        "id", tuple((c.id, c.id) for c in CAYLEY.model.curves if c.kind == "line"),
-        tuple((p, p) for p, _ in CAYLEY.model.points))
-    group = CAYLEY.group._replace(name="trivial", declared_order=1,
-                                  expected_image_order=1, generators=(trivial_gen,))
+        "id", tuple((c.id, c.id) for c in CAYLEY.model.curves if c.kind == "line"))
+    group = CAYLEY.group._replace(name="trivial", declared_order=1, generators=(trivial_gen,))
     fixture = CAYLEY._replace(group=group)
     result = invariant_threshold(fixture)
     assert result.lct is None

@@ -1,4 +1,4 @@
-"""Record types: frozen ``NamedTuple``s, except five frozen dataclasses that
+"""Record types: frozen ``NamedTuple``s, except four frozen dataclasses that
 need construction-time checks or a method a tuple already has."""
 
 import dataclasses
@@ -18,7 +18,7 @@ from cubiclct.model import load_fixture
 FIXTURE_NAMES = sorted(p.stem for p in Path(str(fixture_dir())).glob("*.yaml"))
 
 
-def test_only_five_records_are_dataclasses():
+def test_only_four_records_are_dataclasses():
     found = set()
     for info in pkgutil.iter_modules(cubiclct.__path__):
         module = importlib.import_module(f"cubiclct.{info.name}")
@@ -26,7 +26,7 @@ def test_only_five_records_are_dataclasses():
                      if inspect.isclass(obj) and obj.__module__ == module.__name__
                      and dataclasses.is_dataclass(obj))
     assert found == {"linsys.Row", "linsys.LinearSystem", "lattice.AdeType",
-                     "qexact.QMatrix", "model.SingularityProfile"}
+                     "model.SingularityProfile"}
 
 
 def test_every_bundled_fixture_loads_to_equal_hashable_records():
