@@ -64,7 +64,7 @@ def case_fixtures(fixtures: dict[str, CaseFixture]) -> dict[str, CaseFixture]:
     cases: dict[str, CaseFixture] = {}
     names: dict[str, str] = {}
     for name, f in fixtures.items():
-        if f.script is None or f.witness is None:
+        if f.script is None:
             continue
         key = f.model.profile.key
         if key in names:
@@ -189,7 +189,7 @@ def cmd_table(args) -> int:
 
 def cmd_case(args) -> int:
     fixture = _open_fixture(args.profile, fixture_dir(args.fixtures))
-    if fixture.script is None or fixture.witness is None:
+    if fixture.script is None:
         kind = "equivariant" if fixture.group else "fiberwise"
         print(f"fixture {fixture.name!r} has no case script; try "
               f"`cubiclct {kind} {fixture.name}`", file=sys.stderr)
@@ -225,9 +225,7 @@ def _read_json(path: str, from_json):
     data = json.loads(Path(path).read_text())
     try:
         return from_json(data)
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (ParseError, DimensionMismatch) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 

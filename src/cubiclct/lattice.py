@@ -12,9 +12,6 @@ Node orderings are fixed once and for all:
 * ``E6``   -- a five-node chain ``E1..E5`` with the branch node ``E6``
   attached at ``E3``.
 
-Fixtures state their orientation explicitly; reversed ``A_n`` data is
-normalized by the loader using the chain-reversal symmetry.
-
 Every exceptional curve is a (-2)-curve, so all discrepancies vanish and
 the Cartan matrix ``(-Ei . Ej)`` has 2 on the diagonal and -1 exactly at
 the Dynkin edges.

@@ -49,7 +49,8 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple
 
-from cubiclct.qexact import format_rat, parse_rat
+from cubiclct.qexact import format_rat
+from cubiclct.schema import CERTIFICATE, SYSTEM, ParseError, walk
 
 
 class UnknownVariable(KeyError):
@@ -156,16 +157,15 @@ class LinearSystem:
 
     @staticmethod
     def from_json(data: dict) -> "LinearSystem":
-        variables, rows = data["variables"], data["rows"]
-        if (not isinstance(variables, list) or not all(isinstance(v, str) for v in variables)
-                or len(set(variables)) != len(variables)):
-            raise ValueError(f"variables: expected a list of distinct strings, got {variables!r}")
-        if not isinstance(rows, list):
-            raise ValueError(f"rows: expected a list, got {rows!r}")
-        return LinearSystem(tuple(variables), tuple(
-            Row(tuple(parse_rat(c) for c in r["coeffs"]),
-                parse_rat(r["constant"]), r["relation"], r.get("provenance", ""))
-            for r in rows))
+        """The system of a ``to_json`` document; a ParseError names a bad value."""
+        data = walk(SYSTEM, data)
+        variables = data["variables"]
+        if len(set(variables)) != len(variables):
+            raise ParseError(f"variables: expected a list of distinct strings, "
+                             f"got {list(variables)!r}")
+        return LinearSystem(variables, tuple(
+            Row(r["coeffs"], r["constant"], r["relation"], r.get("provenance", ""))
+            for r in data["rows"]))
 
 
 class InfeasibilityCertificate(NamedTuple):
@@ -186,11 +186,11 @@ class InfeasibilityCertificate(NamedTuple):
 
     @staticmethod
     def from_json(data: dict) -> "InfeasibilityCertificate":
+        """The certificate of a ``to_json`` document; a ParseError names a bad value."""
+        data = walk(CERTIFICATE, data)
         derived = data["derived"]
         return InfeasibilityCertificate(
-            tuple(parse_rat(m) for m in data["multipliers"]),
-            Row(tuple(parse_rat(c) for c in derived["coeffs"]),
-                parse_rat(derived["constant"]), derived["relation"]))
+            data["multipliers"], Row(derived["coeffs"], derived["constant"], derived["relation"]))
 
 
 class Feasible(NamedTuple):

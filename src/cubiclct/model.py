@@ -24,11 +24,8 @@ import yaml
 from cubiclct.lattice import (AdeType, BlowupTower, TowerStep, exceptional_nef_rows,
                               pullback_coefficients)
 from cubiclct.linsys import Row, parse_row
-from cubiclct.qexact import format_rat, parse_rat
-
-
-class ParseError(ValueError):
-    """Fixture document malformed; message carries field diagnostics."""
+from cubiclct.qexact import format_rat
+from cubiclct.schema import FIXTURE, ParseError, walk
 
 
 class DanglingReference(ParseError):
@@ -78,9 +75,12 @@ class SingularityProfile:
 class NamedCurve(NamedTuple):
     id: str
     kind: str                       # line | conic | cubic
-    degree: int
     incidence: tuple[tuple[str, tuple[int, ...]], ...]  # (point id, vector)
     pairwise: tuple[tuple[str, Rat], ...] = ()          # strict-transform numbers
+
+    @property
+    def degree(self) -> int:
+        return {"line": 1, "conic": 2, "cubic": 3}[self.kind]
 
     def incidence_at(self, point: str) -> tuple[int, ...] | None:
         for pid, vec in self.incidence:
@@ -208,65 +208,6 @@ class CaseFixture(NamedTuple):
 # --- loading -----------------------------------------------------------------
 
 
-def _req(mapping: dict, key: str, ctx: str):
-    if key not in _shaped(mapping, dict, ctx):
-        raise ParseError(f"{ctx}: missing key {key!r}")
-    return mapping[key]
-
-
-def _shaped(value, kind: type, where: str, length: int | None = None):
-    """``value`` when it is a ``kind`` (dict or list) of ``length`` entries if one
-    is given, else a located ParseError."""
-    if not isinstance(value, kind):
-        expected = "mapping" if kind is dict else "list"
-        raise ParseError(f"{where}: expected a {expected}, got {value!r}")
-    if length is not None and len(value) != length:
-        raise ParseError(f"{where}: expected {length} entries, got {len(value)}")
-    return value
-
-
-def _known(spec: dict, keys: tuple[str, ...], where: str) -> dict:
-    """``spec`` when it is a mapping that uses no key besides ``keys``."""
-    unknown = [k for k in _shaped(spec, dict, where) if k not in keys]
-    if unknown:
-        raise ParseError(f"{where}: unknown key {unknown[0]!r}")
-    return spec
-
-
-def _scalar(convert, value, where: str):
-    """``convert(value)``, with a bad value raised as a located ParseError."""
-    try:
-        return convert(value)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
-
-
-def _parse_script_rows(items, variables, ctx) -> tuple[ScriptRow, ...]:
-    rows = []
-    for i, item in enumerate(_shaped(items or [], list, ctx)):
-        where = f"{ctx}[{i}]"
-        if isinstance(item, str):
-            text, note, redundant = item, "", False
-        elif isinstance(item, dict):
-            text = _req(item, "row", where)
-            note = _string(item.get("note", ""), f"{where}.note")
-            redundant = _scalar(_boolean, item.get("redundant", False), f"{where}.redundant")
-        else:
-            raise ParseError(f"{where}: row must be string or mapping")
-        row = _scalar(lambda t: parse_row(t, variables, provenance=note or t), text, where)
-        rows.append(ScriptRow(text, row, note, redundant))
-    return tuple(rows)
-
-
-def _parse_alternatives(items, variables, ctx) -> tuple[Branch, ...]:
-    alts = []
-    for i, item in enumerate(_shaped(items or [], list, ctx)):
-        where = f"{ctx}[{i}]"
-        name = _string(_req(item, "name", where), f"{where}.name")
-        alts.append(Branch(name, _parse_script_rows(item.get("rows"), variables, where)))
-    return tuple(alts)
-
-
 def generate_case_tree(ade: AdeType, variables: tuple[str, ...]) -> tuple[Branch, ...]:
     """Adjunction case split for one A_n chain: one branch per interior
     segment (``Cartan_j . a > tau``) and one per double point
@@ -301,85 +242,6 @@ def generate_case_tree(ade: AdeType, variables: tuple[str, ...]) -> tuple[Branch
                                    (row(j, j + 1, f"adjunction on E{j} at {meet}"),
                                     row(j + 1, j, f"adjunction on E{j+1} at {meet}"))))
     return tuple(branches)
-
-
-def _parse_block(spec, variables, points: dict[str, AdeType], ctx) -> Block:
-    """One script block; ``generate: <point>`` expands to that point's case tree."""
-    _known(spec, ("name", "rows", "alternatives", "branches", "generate"), ctx)
-    point = spec.get("generate")
-    if point is None:
-        branches = tuple(
-            Branch(_string(_req(br, "name", f"{ctx}.branches[{j}]"),
-                           f"{ctx}.branches[{j}].name"),
-                   _parse_script_rows(br.get("rows"), variables, f"{ctx}.branches[{j}]"))
-            for j, br in enumerate(_shaped(_req(spec, "branches", ctx), list,
-                                           f"{ctx}.branches")))
-    elif "branches" in spec:
-        raise ParseError(f"{ctx}: a block gives branches or generate, not both")
-    elif point not in list(points):   # a list: an unhashable value is only unknown
-        raise DanglingReference(f"{ctx}.generate: unknown point {point!r}")
-    else:
-        branches = _scalar(lambda ade: generate_case_tree(ade, variables), points[point],
-                           f"{ctx}.generate")
-    return Block(_string(spec.get("name", ""), f"{ctx}.name"),
-                 _parse_script_rows(spec.get("rows"), variables, f"{ctx}.rows"),
-                 _parse_alternatives(spec.get("alternatives"), variables, f"{ctx}.alternatives"),
-                 branches, point)
-
-
-def _parse_assumptions(items, variables, ctx) -> tuple[Assumption, ...]:
-    out = []
-    for i, item in enumerate(_shaped(items or [], list, ctx)):
-        where = f"{ctx}[{i}]"
-        out.append(Assumption(
-            _string(_req(item, "tag", where), f"{where}.tag"),
-            _string(item.get("note", ""), f"{where}.note"),
-            _parse_script_rows(item.get("exclusion_rows"), variables, where)))
-    return tuple(out)
-
-
-def _string(value, where: str) -> str:
-    """``value`` when YAML read it as a string, else a located ParseError."""
-    if not isinstance(value, str):
-        raise ParseError(f"{where}: expected a string, got {value!r}")
-    return value
-
-
-def _strings(value, where: str, length: int | None = None) -> tuple[str, ...]:
-    """A YAML list of strings, shaped as by ``_shaped``; a bare string is never split."""
-    for i, item in enumerate(_shaped(value, list, where, length)):
-        _string(item, f"{where}[{i}]")
-    return tuple(value)
-
-
-def _integer(value) -> int:
-    """``value`` when YAML read it as an int; a float or bool is never truncated."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        int(value)   # a string that is no numeral keeps int()'s own message
-    raise TypeError(f"expected an integer, got {value!r}")
-
-
-def _boolean(value) -> bool:
-    """``value`` when YAML read it as a bool; a string such as ``"false"`` is never true."""
-    if isinstance(value, bool):
-        return value
-    raise TypeError(f"expected true or false, got {value!r}")
-
-
-def _parse_poly(items, ctx):
-    """A YAML list of ``[coef, [x, y, z, w, t exponents]]`` terms, or None."""
-    if items is None:
-        return None
-    out = []
-    for i, term in enumerate(_shaped(items, list, ctx)):
-        where = f"{ctx}[{i}]"
-        coef, exps = _shaped(term, list, where, 2)
-        _shaped(exps, list, f"{where} exponents (x,y,z,w,t)", 5)
-        out.append((_scalar(parse_rat, coef, where),
-                    tuple(_scalar(_integer, e, where) for e in exps)))
-    return tuple(out)
 
 
 #: libyaml's parser when PyYAML was built with it, else the pure-Python one.
@@ -485,188 +347,145 @@ def load_fixture(text: str, name: str = "<fixture>") -> CaseFixture:
         raise ParseError(f"{name}: invalid YAML: {exc}") from exc
     finally:
         loader.dispose()
-    if not isinstance(doc, dict):
-        raise ParseError(f"{name}: fixture document is empty or not a mapping")
     try:
-        return _build_fixture(doc, name)
+        return _build_fixture(walk(FIXTURE, doc), name)
     except ParseError as exc:
         raise type(exc)(f"{name}: {exc}") from exc
 
 
+def _scalar(convert, value, where: str):
+    """``convert(value)``, with a bad value raised as a located ParseError."""
+    try:
+        return convert(value)
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
+def _script_rows(items, variables, ctx) -> tuple[ScriptRow, ...]:
+    rows = []
+    for i, item in enumerate(items):
+        item = {"row": item} if isinstance(item, str) else item
+        text, note = item["row"], item.get("note", "")
+        row = _scalar(lambda t: parse_row(t, variables, provenance=note or t), text, f"{ctx}[{i}]")
+        rows.append(ScriptRow(text, row, note, item.get("redundant", False)))
+    return tuple(rows)
+
+
+def _branches(items, variables, ctx) -> tuple[Branch, ...]:
+    return tuple(Branch(b["name"], _script_rows(b.get("rows", ()), variables, f"{ctx}[{i}].rows"))
+                 for i, b in enumerate(items))
+
+
+def _assumptions(items, variables, ctx) -> tuple[Assumption, ...]:
+    return tuple(Assumption(a["tag"], a.get("note", ""),
+                            _script_rows(a.get("exclusion_rows", ()), variables,
+                                         f"{ctx}[{i}].exclusion_rows"))
+                 for i, a in enumerate(items))
+
+
+def _declared(ids, value, what: str, where: str):
+    """``value`` when ``ids`` holds it, else a DanglingReference at ``where``."""
+    if value not in ids:
+        raise DanglingReference(f"{where}: unknown {what} {value!r}")
+    return value
+
+
+def _block(spec, variables, points: dict[str, AdeType], ctx) -> Block:
+    """One script block; ``generate: <point>`` expands to that point's case tree."""
+    point = spec.get("generate")
+    if point is None:
+        if "branches" not in spec:
+            raise ParseError(f"{ctx}: missing key 'branches'")
+        branches = _branches(spec["branches"], variables, f"{ctx}.branches")
+    elif "branches" in spec:
+        raise ParseError(f"{ctx}: a block gives branches or generate, not both")
+    else:
+        ade = points[_declared(points, point, "point", f"{ctx}.generate")]
+        branches = _scalar(lambda a: generate_case_tree(a, variables), ade, f"{ctx}.generate")
+    return Block(spec.get("name", ""),
+                 _script_rows(spec.get("rows", ()), variables, f"{ctx}.rows"),
+                 _branches(spec.get("alternatives", ()), variables, f"{ctx}.alternatives"),
+                 branches, point)
+
+
 def _build_fixture(doc: dict, name: str) -> CaseFixture:
-    profile = _scalar(SingularityProfile.of, _req(doc, "profile", "document"), "profile")
-
-    points = []
-    for pid, spec in _shaped(doc.get("points") or {}, dict, "points").items():
-        ade = _scalar(AdeType.parse, _req(spec, "type", f"points.{pid}"), f"points.{pid}.type")
-        orientation = spec.get("orientation", "standard")
-        if orientation not in ("standard", "reversed"):
-            raise ParseError(f"points.{pid}: bad orientation {orientation!r}")
-        if orientation == "reversed" and ade.family != "A":
-            raise ParseError(f"points.{pid}: only A_n chains can be reversed")
-        points.append((pid, ade, orientation))
-
-    point_ids = [p[0] for p in points]
-    orientations = {pid: o for pid, _, o in points}
-
-    curves = []
-    for i, spec in enumerate(_shaped(doc.get("curves") or [], list, "curves")):
-        ctx = f"curves[{i}]"
-        cid = _string(_req(spec, "id", ctx), f"{ctx}.id")
-        kind = _req(spec, "kind", ctx)
-        if kind not in ("line", "conic", "cubic"):
-            raise ParseError(f"{ctx}: bad kind {kind!r}")
-        degree = _scalar(_integer,
-                         spec.get("degree", {"line": 1, "conic": 2, "cubic": 3}[kind]),
-                         f"{ctx} ({cid}).degree")
-        inc = []
-        where = f"{ctx} ({cid}).incidence"
-        for pid, vec in _shaped(spec.get("incidence") or {}, dict, where).items():
-            if pid not in point_ids:
-                raise DanglingReference(f"{ctx}: unknown point {pid!r}")
-            at = f"{where}.{pid}"
-            vec = [_scalar(_integer, v, at) for v in _shaped(vec, list, at)]
-            if orientations[pid] == "reversed":
-                vec = vec[::-1]   # normalize to canonical chain order
-            inc.append((pid, tuple(vec)))
-        where = f"{ctx} ({cid}).pairwise"
-        pairwise = tuple((other, _scalar(parse_rat, val, f"{where}.{other}"))
-                         for other, val in _shaped(spec.get("pairwise") or {}, dict,
-                                                   where).items())
-        curves.append(NamedCurve(cid, kind, degree, tuple(inc), pairwise))
-
+    """The records of a document that ``walk`` has checked against ``FIXTURE``;
+    what is left to check here is what refers to what."""
+    points = {pid: spec["type"] for pid, spec in doc.get("points", {}).items()}
+    curves = tuple(
+        NamedCurve(spec["id"], spec["kind"],
+                   tuple((_declared(points, pid, "point", f"curves[{i}].incidence.{pid}"), vec)
+                         for pid, vec in spec.get("incidence", {}).items()),
+                   tuple(spec.get("pairwise", {}).items()))
+        for i, spec in enumerate(doc.get("curves", ())))
     curve_ids = {c.id for c in curves}
-    for c in curves:
+    for i, c in enumerate(curves):
         for other, _ in c.pairwise:
-            if other not in curve_ids:
-                raise DanglingReference(f"curves[{c.id}].pairwise: unknown curve {other!r}")
+            _declared(curve_ids, other, "curve", f"curves[{i}].pairwise.{other}")
 
-    def parse_terms(items, ctx) -> tuple[tuple[Rat, str], ...]:
-        terms = []
-        for j, pair in enumerate(_shaped(items, list, ctx)):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ParseError(f"{ctx}[{j}]: expected a [multiplicity, curve] pair, "
-                                 f"got {pair!r}")
-            mult, cid = pair
-            if _string(cid, f"{ctx}[{j}]") not in curve_ids:
-                raise DanglingReference(f"{ctx}[{j}]: unknown curve {cid!r}")
-            terms.append((_scalar(parse_rat, mult, f"{ctx}[{j}]"), cid))
-        return tuple(terms)
+    def curve_terms(terms, ctx) -> tuple[tuple[Rat, str], ...]:
+        for j, (_, cid) in enumerate(terms):
+            _declared(curve_ids, cid, "curve", f"{ctx}[{j}]")
+        return terms
 
-    equivalences = tuple(
-        BoundaryDivisor(parse_terms(eq, f"equivalences[{i}]"))
-        for i, eq in enumerate(_shaped(doc.get("equivalences") or [], list, "equivalences")))
+    equivalences = tuple(BoundaryDivisor(curve_terms(eq, f"equivalences[{i}]"))
+                         for i, eq in enumerate(doc.get("equivalences", ())))
 
     witness = None
-    if "witness" in doc and doc["witness"] is not None:
-        wspec = doc["witness"]
-        boundary = BoundaryDivisor(parse_terms(_req(wspec, "divisor", "witness"), "witness.divisor"))
-        tower = None
-        tower_points: list[tuple[str, str]] = []
-        tower_specs = _shaped(wspec.get("tower") or [], list, "witness.tower")
-        if tower_specs:
-            steps = []
-            for j, sspec in enumerate(tower_specs):
-                ctx = f"witness.tower[{j}]"
-                sname = _string(_req(sspec, "name", ctx), f"{ctx}.name")
-                spoint = _req(sspec, "point", ctx)
-                if spoint not in point_ids:
-                    raise DanglingReference(f"{ctx}: unknown point {spoint!r}")
-                strict, excs = [], []
-                for k, item in enumerate(_shaped(_req(sspec, "through", ctx), list,
-                                                 f"{ctx}.through")):
-                    if "curve" in _shaped(item, dict, f"{ctx}.through[{k}]"):
-                        curve = _string(item["curve"], f"{ctx}.through[{k}].curve")
-                        if curve not in curve_ids:
-                            raise DanglingReference(f"{ctx}: unknown curve {curve!r}")
-                        strict.append((curve,
-                                       _scalar(_integer, item.get("mult", 1), f"{ctx}.mult")))
-                    elif "exceptional" in item:
-                        excs.append(_string(item["exceptional"],
-                                            f"{ctx}.through[{k}].exceptional"))
-                    else:
-                        raise ParseError(f"{ctx}: through-entry needs curve or exceptional")
-                steps.append(TowerStep(sname, tuple(strict), tuple(excs)))
-                tower_points.append((sname, spoint))
-            tower = BlowupTower(tuple(steps))
-        witness = Witness(boundary, tower, tuple(tower_points),
-                          _strings(wspec.get("tangencies") or [], "witness.tangencies"))
+    if "witness" in doc:
+        wspec, steps = doc["witness"], []
+        for j, step in enumerate(wspec.get("tower", ())):
+            ctx = f"witness.tower[{j}]"
+            _declared(points, step["point"], "point", f"{ctx}.point")
+            steps.append(TowerStep(
+                step["name"],
+                tuple((_declared(curve_ids, t["curve"], "curve", f"{ctx}.through[{k}].curve"),
+                       t.get("mult", 1)) for k, t in enumerate(step["through"]) if "curve" in t),
+                tuple(t["exceptional"] for t in step["through"] if "exceptional" in t)))
+        witness = Witness(BoundaryDivisor(curve_terms(wspec["divisor"], "witness.divisor")),
+                          BlowupTower(tuple(steps)) if steps else None,
+                          tuple((step["name"], step["point"]) for step in wspec.get("tower", ())),
+                          wspec.get("tangencies", ()))
 
     script = None
-    if "script" in doc and doc["script"] is not None:
-        sspec = _known(doc["script"], ("tau_floor", "variables", "base_rows", "blocks",
-                                       "assumptions"), "script")
-        variables = _strings(_req(sspec, "variables", "script"), "script.variables")
+    if "script" in doc:
+        sspec = doc["script"]
+        variables = sspec["variables"]
         if len(set(variables)) != len(variables):
             raise ParseError(f"script.variables: repeated name in {list(variables)}")
-        tau_floor = _scalar(parse_rat, _req(sspec, "tau_floor", "script"), "script.tau_floor")
-        base_rows = _parse_script_rows(sspec.get("base_rows"), variables, "script.base_rows")
-        ades = {pid: ade for pid, ade, _ in points}
-        blocks = tuple(_parse_block(bspec, variables, ades, f"script.blocks[{i}]")
-                       for i, bspec in enumerate(_shaped(sspec.get("blocks") or [], list,
-                                                         "script.blocks")))
+        blocks = tuple(_block(bspec, variables, points, f"script.blocks[{i}]")
+                       for i, bspec in enumerate(sspec.get("blocks", ())))
         if not blocks:   # a script without leaves would verify vacuously
             raise ParseError("script: needs at least one block")
-        script = ProofScript(tau_floor, variables, base_rows, blocks,
-                             _parse_assumptions(sspec.get("assumptions"), variables,
-                                                "script.assumptions"))
+        script = ProofScript(
+            sspec["tau_floor"], variables,
+            _script_rows(sspec.get("base_rows", ()), variables, "script.base_rows"), blocks,
+            _assumptions(sspec.get("assumptions", ()), variables, "script.assumptions"))
 
     group = None
-    if "group" in doc and doc["group"] is not None:
-        gspec = _known(doc["group"], ("name", "declared_order", "generators",
-                                      "invariant_divisor", "assumptions"), "group")
-        gens = []
-        for i, gen in enumerate(_shaped(_req(gspec, "generators", "group"), list,
-                                        "group.generators")):
-            ctx = f"group.generators[{i}]"
-            _known(gen, ("name", "lines"), ctx)
-            lines = tuple(_shaped(_req(gen, "lines", ctx), dict, f"{ctx}.lines").items())
-            for k, v in lines:
-                if k not in curve_ids or _string(v, f"{ctx}.lines.{k}") not in curve_ids:
-                    raise DanglingReference(f"{ctx}: unknown line {k!r} or {v!r}")
-            gens.append(GroupGenerator(_string(_req(gen, "name", ctx), f"{ctx}.name"), lines))
-        group = GroupData(
-            _string(_req(gspec, "name", "group"), "group.name"),
-            _scalar(_integer, _req(gspec, "declared_order", "group"), "group.declared_order"),
-            tuple(gens),
-            parse_terms(_req(gspec, "invariant_divisor", "group"), "group.invariant_divisor"),
-            _parse_assumptions(gspec.get("assumptions"), (), "group.assumptions"))
+    if "group" in doc:
+        gspec = doc["group"]
+        for i, gen in enumerate(gspec["generators"]):
+            for k, v in gen["lines"].items():
+                _declared(curve_ids, k, "line", f"group.generators[{i}].lines")
+                _declared(curve_ids, v, "line", f"group.generators[{i}].lines.{k}")
+        group = GroupData(gspec["name"], gspec["declared_order"],
+                          tuple(GroupGenerator(gen["name"], tuple(gen["lines"].items()))
+                                for gen in gspec["generators"]),
+                          curve_terms(gspec["invariant_divisor"], "group.invariant_divisor"),
+                          _assumptions(gspec.get("assumptions", ()), (), "group.assumptions"))
 
-    fiberwise = None
-    if "fiberwise" in doc and doc["fiberwise"] is not None:
-        fspec = doc["fiberwise"]
-        lct_pair = tuple(_scalar(parse_rat, v, f"fiberwise.lct_pair[{i}]") for i, v in
-                         enumerate(_shaped(_req(fspec, "lct_pair", "fiberwise"), list,
-                                           "fiberwise.lct_pair", 2)))
-        verdict = _req(fspec, "expected_verdict", "fiberwise")
-        if verdict not in ("Biregular", "Inconclusive"):
-            raise ParseError("fiberwise.expected_verdict: expected Biregular or "
-                             f"Inconclusive, got {verdict!r}")
-        given = [k for k in ("source_poly", "target_poly", "map") if fspec.get(k) is not None]
-        if len(given) in (1, 2):
-            raise ParseError("fiberwise: source_poly, target_poly and map go together; "
-                             f"only {', '.join(given)} given")
-        mp, k = fspec.get("map"), fspec.get("expected_k")
-        fiberwise = FiberwiseData(
-            _parse_poly(fspec.get("source_poly"), "fiberwise.source_poly"),
-            _parse_poly(fspec.get("target_poly"), "fiberwise.target_poly"),
-            tuple((v, _scalar(_integer, e, f"fiberwise.map.{v}"))
-                  for v, e in _shaped(mp, dict, "fiberwise.map").items())
-            if mp is not None else None,
-            None if k is None else _scalar(_integer, k, "fiberwise.expected_k"),
-            lct_pair,
-            tuple(_scalar(_boolean, b, f"fiberwise.log_terminal[{i}]") for i, b in
-                  enumerate(_shaped(_req(fspec, "log_terminal", "fiberwise"), list,
-                                    "fiberwise.log_terminal", 2))),
-            verdict,
-            _strings(_req(fspec, "fiber_profiles", "fiberwise"), "fiberwise.fiber_profiles", 2))
+    fspec = doc.get("fiberwise")
+    fiberwise = None if fspec is None else FiberwiseData(
+        fspec.get("source_poly"), fspec.get("target_poly"),
+        tuple(fspec["map"].items()) if "map" in fspec else None, fspec.get("expected_k"),
+        fspec["lct_pair"], fspec["log_terminal"], fspec["expected_verdict"],
+        fspec["fiber_profiles"])
 
-    model = SurfaceModel(profile, tuple((pid, ade) for pid, ade, _ in points),
-                         tuple(curves), equivalences)
-    expected = (_scalar(parse_rat, doc["expected_omega"], "expected_omega")
-                if "expected_omega" in doc else None)
-    return CaseFixture(_string(doc.get("name", name), "name"), model, expected, witness, script,
-                       group, fiberwise)
+    profile = SingularityProfile.of([ade.label for ade in doc["profile"]])
+    model = SurfaceModel(profile, tuple(points.items()), curves, equivalences)
+    return CaseFixture(doc.get("name", name), model, doc.get("expected_omega"), witness,
+                       script, group, fiberwise)
 
 
 # --- validation ---------------------------------------------------------------
@@ -724,9 +543,6 @@ def validate_fixture(fixture: CaseFixture) -> list[str]:
 
     curve_map = model.curve_map
     for c in model.curves:
-        expected_degree = {"line": 1, "conic": 2, "cubic": 3}[c.kind]
-        if c.degree != expected_degree:
-            findings.append(f"curve {c.id}: degree {c.degree} does not match kind {c.kind}")
         for pid, vec in c.incidence:
             if len(vec) != model.ade(pid).rank:
                 findings.append(f"curve {c.id}: incidence at {pid} has wrong length")
@@ -766,12 +582,11 @@ def validate_fixture(fixture: CaseFixture) -> list[str]:
             findings.append("witness: boundary does not match any declared equivalence")
 
     script = fixture.script
-    if script is not None and fixture.expected_omega is not None:
+    if script is not None:   # the loader gives a script an expected_omega
         if script.tau_floor * fixture.expected_omega != 1:
             findings.append(
                 f"script: tau_floor {format_rat(script.tau_floor)} is not the "
                 f"reciprocal of expected_omega {format_rat(fixture.expected_omega)}")
-    if script is not None:
         base = {(r.row.coeffs, r.row.constant, r.row.relation) for r in script.base_rows}
         for point in dict.fromkeys(b.generate for b in script.blocks if b.generate):
             for j, form in enumerate(exceptional_nef_rows(model.ade(point))):

@@ -27,8 +27,9 @@ class SingularMatrix(ValueError):
 
 
 def parse_rat(text: str) -> Rat:
-    """Parse ``"p/q"`` or ``"p"`` (ASCII ``-`` or U+2212 minus) into a Rat."""
-    if isinstance(text, int):
+    """Parse ``"p/q"`` or ``"p"`` (ASCII ``-`` or U+2212 minus), or an int, into a
+    Rat; a bool or float is no rational literal."""
+    if isinstance(text, int) and not isinstance(text, bool):
         return Rat(text)
     s = str(text).strip().replace("−", "-")
     m = _RAT_RE.match(s)

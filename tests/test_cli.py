@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from cubiclct import schema
 from cubiclct.cli import main
 from cubiclct.linsys import LinearSystem, parse_row
 from cubiclct.model import load_fixture
@@ -60,18 +62,18 @@ def test_table_validates_like_case(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("field, message", [
-    ("incidence: {O: 1}", "a3: curves[1] (L2).incidence.O: expected a list, got 1"),
+    ("incidence: {O: 1}", "a3: curves[1].incidence.O: expected a list, got 1"),
     ("incidence: {O: [1, 0, 0]}, pairwise: [L1, 1]",
-     "a3: curves[1] (L2).pairwise: expected a mapping, got ['L1', 1]"),
-    ("incidence: {P: [1, 0, 0]}", "error: a3: curves[1]: unknown point 'P'"),
+     "a3: curves[1].pairwise: expected a mapping, got ['L1', 1]"),
+    ("incidence: {P: [1, 0, 0]}", "error: a3: curves[1].incidence.P: unknown point 'P'"),
     ("incidence: {O: [a, 0, 0]}",
-     "error: a3: curves[1] (L2).incidence.O: invalid literal for int() with base 10: 'a'"),
+     "error: a3: curves[1].incidence.O[0]: invalid literal for int() with base 10: 'a'"),
     ("incidence: {O: [1.5, 0, 0]}",
-     "error: a3: curves[1] (L2).incidence.O: expected an integer, got 1.5"),
+     "error: a3: curves[1].incidence.O[0]: expected an integer, got 1.5"),
     ("incidence: {O: [true, 0, 0]}",
-     "error: a3: curves[1] (L2).incidence.O: expected an integer, got True"),
-    ("incidence: {O: [1, 0, 0]}, degree: 1.0",
-     "error: a3: curves[1] (L2).degree: expected an integer, got 1.0"),
+     "error: a3: curves[1].incidence.O[0]: expected an integer, got True"),
+    # a curve's degree follows from its kind; there is no such key
+    ("incidence: {O: [1, 0, 0]}, degree: 1.0", "error: a3: curves[1]: unknown key 'degree'"),
 ])
 def test_malformed_curve_field_is_located_parse_error(capsys, tmp_path, field, message):
     _fixture_copy(tmp_path, "a3", "{id: L2, kind: line, incidence: {O: [1, 0, 0]}}",
@@ -87,9 +89,9 @@ def test_malformed_curve_field_is_located_parse_error(capsys, tmp_path, field, m
     ('expected_omega: "1/2"', 'expected_omega: "1/x"',
      "error: a3: expected_omega: not a rational literal: '1/x'"),
     ('tau_floor: "2"', 'tau_floor: "2/0"', "error: a3: script.tau_floor: zero denominator in '2/0'"),
-    ("profile: [A3]", "profile: [Q3]", "error: a3: profile: bad ADE label 'Q3'"),
-    ("profile: [A3]", "profile: [3]", "error: a3: profile: bad ADE label 3"),
-    ("{type: A3,", "{type: 3,", "error: a3: points.O.type: bad ADE label 3"),
+    ("profile: [A3]", "profile: [Q3]", "error: a3: profile[0]: bad ADE label 'Q3'"),
+    ("profile: [A3]", "profile: [3]", "error: a3: profile[0]: bad ADE label 3"),
+    ("{type: A3}", "{type: 3}", "error: a3: points.O.type: bad ADE label 3"),
     ("name: a3", "name: !!timestamp a3",
      "error: a3: invalid YAML: cannot construct tag:yaml.org,2002:timestamp 'a3'"),
     ("name: a3", "name: !!bool maybe",
@@ -156,7 +158,7 @@ def _fixture_with(tmp_path, name, path, value):
     ("fiber_e6", ("fiberwise", "source_poly", 0), ["1", [3, 0, 0, 0, 0], 2],
      "fiberwise.source_poly[0]: expected 2 entries, got 3"),
     ("fiber_e6", ("fiberwise", "source_poly", 0), ["1", 3],
-     "fiberwise.source_poly[0] exponents (x,y,z,w,t): expected a list, got 3"),
+     "fiberwise.source_poly[0][1]: expected a list, got 3"),
     ("fiber_e6", ("fiberwise", "target_poly", 1), "x",
      "fiberwise.target_poly[1]: expected a list, got 'x'"),
 ], ids=["curves", "equivalences", "tower", "through", "through entry", "generators",
@@ -182,7 +184,7 @@ def test_unknown_group_key_is_located_parse_error(capsys, tmp_path, path, messag
 
 @pytest.mark.parametrize("name, path, message", [
     ("a3", ("curves", 0, "id"), "curves[0].id: expected a string, got ['x']"),
-    ("a3", ("equivalences", 0, 0, 1), "equivalences[0][0]: expected a string, got ['x']"),
+    ("a3", ("equivalences", 0, 0, 1), "equivalences[0][0][1]: expected a string, got ['x']"),
     ("a1", ("witness", "tower", 0, "through", 0, "curve"),
      "witness.tower[0].through[0].curve: expected a string, got ['x']"),
     ("cayley", ("group", "generators", 0, "lines", "L12"),
@@ -340,15 +342,14 @@ def test_malformed_equivalence_term_is_located_parse_error(capsys, tmp_path):
     code, out, err = run(capsys, "--fixtures", str(tmp_path), "table")
     assert code == 2
     assert out == ""
-    assert ("error: a3: equivalences[0][0]: expected a [multiplicity, curve] pair, "
-            "got ['1', 'L1', 3]") in err
+    assert "error: a3: equivalences[0][0]: expected 2 entries, got 3" in err
 
 
 def test_fiberwise_identity_needs_all_three_fields(capsys, tmp_path):
     _fixture_copy(tmp_path, "fiber_e6", "  target_poly:", "  unused_poly:")
     code, _, err = run(capsys, "--fixtures", str(tmp_path), "fiberwise", "fiber_e6")
     assert code == 2
-    assert "fiberwise: source_poly, target_poly and map go together" in err
+    assert "fiberwise: source_poly needs target_poly and map" in err
     assert "Traceback" not in err
 
 
@@ -508,18 +509,22 @@ def test_malformed_system_file_or_pullback_argument_is_input_error(capsys, tmp_p
                         ("letters", {**good, "variables": "x"}),
                         ("numbers", {**good, "variables": [1]}),
                         ("repeated", {"variables": ["x", "x"], "rows": []}),
-                        ("rows_mapping", {**good, "rows": {}})]:
+                        ("rows_mapping", {**good, "rows": {}}),
+                        # a string is no list of rationals: "11" was once the row (1, 1)
+                        ("string_coeffs", {"variables": ["x", "y"], "rows": [
+                            {"coeffs": "11", "relation": ">=", "constant": "1"}]}),
+                        ("string_multipliers", {**cert, "multipliers": "11"}),
+                        ("string_derived", {**cert, "derived": {**cert["derived"],
+                                                               "coeffs": "00"}})]:
         files[label] = tmp_path / f"{label}.json"
         files[label].write_text(json.dumps(data))
     (tmp_path / "broken.json").write_text("{")
     for argv, message in [
             (["certify", str(files["no_rows"])], "missing key 'rows'"),
             (["certify", str(files["bad_rat"])], "not a rational literal: '1/x'"),
-            (["certify", str(files["a_list"])], "list indices must be integers"),
-            (["certify", str(files["letters"])],
-             "variables: expected a list of distinct strings, got 'x'"),
-            (["certify", str(files["numbers"])],
-             "variables: expected a list of distinct strings, got [1]"),
+            (["certify", str(files["a_list"])], "expected a mapping, got [1, 2]"),
+            (["certify", str(files["letters"])], "variables: expected a list, got 'x'"),
+            (["certify", str(files["numbers"])], "variables[0]: expected a string, got 1"),
             (["replay", str(files["repeated"]), str(files["cert"])],
              "variables: expected a list of distinct strings, got ['x', 'x']"),
             (["certify", str(files["rows_mapping"])], "rows: expected a list, got {}"),
@@ -528,11 +533,141 @@ def test_malformed_system_file_or_pullback_argument_is_input_error(capsys, tmp_p
             (["replay", str(files["good"]), str(files["cert"])],
              "multiplier count does not match row count"),
             (["replay", str(files["good"]), str(files["no_rows"])], "missing key 'derived'"),
+            (["certify", str(files["string_coeffs"])],
+             f"{files['string_coeffs']}: rows[0].coeffs: expected a list, got '11'"),
+            (["replay", str(files["good"]), str(files["string_multipliers"])],
+             f"{files['string_multipliers']}: multipliers: expected a list, got '11'"),
+            (["replay", str(files["good"]), str(files["string_derived"])],
+             f"{files['string_derived']}: derived.coeffs: expected a list, got '00'"),
             (["pullback", "a5", "L9", "O"], "a5: no curve or point 'L9'"),
             (["pullback", "a5", "L3", "Q"], "a5: no curve or point 'Q'")]:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert message in err, (argv, err)
+
+
+@pytest.mark.parametrize("name, old, new, argv, message", [
+    ("a1", "\nwitness:\n", "\nwitnes:\n", ["table"],
+     "a1: script needs witness and expected_omega"),
+    ("a3a1", "expected_omega:", "expected_omgea:", ["case", "A3+A1"],
+     "a3a1: script needs witness and expected_omega"),
+    ("a5", '  divisor: [["3", L3]]\n', '  divisor: [["3", L3]]\n  tangencie: [L3]\n',
+     ["case", "a5"], "a5: witness: unknown key 'tangencie'"),
+    ("a3", "{id: L2, kind: line,", "{id: L2, kind: line, degre: 1,", ["case", "a3"],
+     "a3: curves[1]: unknown key 'degre'"),
+    ("a3", 'note: "E1.Dbar >= 0"}', 'note: "E1.Dbar >= 0", redundnat: true}', ["case", "a3"],
+     "a3: script.base_rows[1]: unknown key 'redundnat'"),
+    ("a3", "O: {type: A3", "O: {type: A3, tpye: A3", ["case", "a3"],
+     "a3: points.O: unknown key 'tpye'"),
+    # the chain-reversal marker is gone: every fixture gives canonical node order
+    ("a3", "O: {type: A3", "O: {type: A3, orientation: standard", ["case", "a3"],
+     "a3: points.O: unknown key 'orientation'"),
+], ids=["witnes", "expected_omgea", "tangencie", "degre", "redundnat", "point key",
+        "orientation"])
+def test_misspelt_or_dropped_key_is_located_parse_error(capsys, tmp_path, name, old, new, argv,
+                                                        message):
+    # each of these once loaded: a verified row read as paper-asserted, a
+    # traceback, a witness without its tangency guard, or a key nothing read
+    _fixture_copy(tmp_path, name, old, new)
+    code, out, err = run(capsys, "--fixtures", str(tmp_path), *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def _declared_mappings(kind):
+    """Every record that ``kind`` declares, itself included."""
+    if isinstance(kind, schema.Record):
+        yield kind
+        inner = kind.fields.values()
+    elif isinstance(kind, schema.OneOf):
+        inner = kind.records
+    elif isinstance(kind, schema.ListOf):
+        inner = (kind.item,)
+    elif isinstance(kind, schema.IdMap):
+        inner = (kind.value,)
+    elif isinstance(kind, schema.Pair):
+        inner = kind
+    else:
+        return
+    for item in inner:
+        yield from _declared_mappings(item)
+
+
+def _mappings(kind, value, path=(), place=()):
+    """``(record, key path, place)`` for every mapping of ``value`` that ``kind``
+    declares; a place is the key path with list indices and ids as ``*``."""
+    if isinstance(kind, schema.OneOf):
+        kind = next((r for r in kind.records
+                     if isinstance(value, dict) and r.required[0] in value), None)
+    if isinstance(kind, schema.Record):
+        yield kind, path, place
+        for key, item in value.items():
+            yield from _mappings(kind.fields[key], item, path + (key,), place + (key,))
+    elif isinstance(kind, schema.ListOf):
+        for i, item in enumerate(value):
+            yield from _mappings(kind.item, item, path + (i,), place + ("*",))
+    elif isinstance(kind, schema.Pair):
+        for i, (inner, item) in enumerate(zip(kind, value)):
+            yield from _mappings(inner, item, path + (i,), place + (i,))
+    elif isinstance(kind, schema.IdMap):
+        for key, item in value.items():
+            yield from _mappings(kind.value, item, path + (key,), place + ("*",))
+
+
+def _with_zzz(kind, docs):
+    """For the first mapping of each record at each place of ``kind`` in ``docs``:
+    the record, the document's name, a copy of the document with ``zzz: 1`` put
+    into that mapping, and the mapping's path."""
+    seen = set()
+    for name, doc in docs:
+        for record, path, place in _mappings(kind, doc):
+            if (id(record), place) in seen:
+                continue
+            seen.add((id(record), place))
+            edited = copy.deepcopy(doc)
+            node = edited
+            for key in path:
+                node = node[key]
+            node["zzz"] = 1
+            located = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+            yield record, name, edited, located.lstrip(".")
+
+
+def test_every_declared_mapping_rejects_an_unknown_key(capsys, tmp_path):
+    from cubiclct.cli import fixture_dir
+    docs = [(p.stem, yaml.safe_load(p.read_text()))
+            for p in sorted(Path(str(fixture_dir())).glob("*.yaml"))]
+    swept = set()
+    for i, (record, name, doc, path) in enumerate(_with_zzz(schema.FIXTURE, docs)):
+        directory = tmp_path / str(i)
+        directory.mkdir()
+        (directory / f"{name}.yaml").write_text(yaml.safe_dump(doc))
+        code, out, err = run(capsys, "--fixtures", str(directory), "case", name)
+        where = f"{path}: " if path else ""
+        assert (code, out, err) == (2, "", f"error: {name}: {where}unknown key 'zzz'\n"), path
+        swept.add(id(record))
+    # every kind of mapping the schema declares occurs in a bundled fixture
+    assert swept == {id(record) for record in _declared_mappings(schema.FIXTURE)}
+
+
+def test_every_system_and_certificate_mapping_rejects_an_unknown_key(capsys, tmp_path):
+    variables = ("x",)
+    system = LinearSystem(variables, (parse_row("x >= 1", variables),
+                                      parse_row("-x >= 0", variables)))
+    sys_file = tmp_path / "sys.json"
+    sys_file.write_text(json.dumps(system.to_json()))
+    cert = {"multipliers": ["1", "1"],
+            "derived": {"coeffs": ["0"], "relation": ">=", "constant": "1"}}
+    for kind, data, argv in [(schema.SYSTEM, system.to_json(), ["certify"]),
+                             (schema.CERTIFICATE, cert, ["replay", str(sys_file)])]:
+        swept = set()
+        for record, _, edited, path in _with_zzz(kind, [("json", data)]):
+            path_file = tmp_path / "edited.json"
+            path_file.write_text(json.dumps(edited))
+            code, out, err = run(capsys, *argv, str(path_file))
+            where = f"{path}: " if path else ""
+            assert (code, out, err) == (2, "", f"error: {path_file}: {where}unknown key 'zzz'\n")
+            swept.add(id(record))
+        assert swept == {id(record) for record in _declared_mappings(kind)}
 
 
 def test_usage_error_exit_code(capsys):

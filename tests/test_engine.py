@@ -78,7 +78,7 @@ def test_witness_invariant_under_relabeling_and_reversal():
     relabeled = """
 profile: [A5]
 points:
-  X: {type: A5, orientation: reversed}
+  X: {type: A5}
 curves:
   - {id: M1, kind: line, incidence: {X: [0, 0, 0, 0, 1]}, pairwise: {Q1: 1}}
   - {id: M2, kind: line, incidence: {X: [0, 0, 0, 0, 1]}}
