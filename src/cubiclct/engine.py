@@ -300,6 +300,11 @@ def _authored_rows(fixture: CaseFixture) -> list[tuple[str, ScriptRow]]:
     return rows
 
 
+def _support(rows: tuple[ScriptRow, ...], certificate: InfeasibilityCertificate) -> set[int]:
+    """The ids of the rows that ``certificate`` gives a nonzero multiplier."""
+    return {id(r) for r, m in zip(rows, certificate.multipliers) if m}
+
+
 def mutation_audit(fixture: CaseFixture) -> list[MutationRecord]:
     """Delete each script row in turn and re-verify all leaves.
 
@@ -309,28 +314,32 @@ def mutation_audit(fixture: CaseFixture) -> list[MutationRecord]:
     The branch rows of a ``generate`` block are audited too but reported
     with ``authored=False``.
 
-    Each leaf is solved once.  By Farkas' lemma, a leaf whose certificate
-    gives the deleted row a zero multiplier stays infeasible (the same
-    certificate refutes the rows left), so only a leaf whose certificate
-    uses the row, or a feasible leaf, is solved again without it.
+    Each leaf is solved once, and it keeps the support (the rows with a
+    nonzero multiplier) of every certificate known for it: its own, and one
+    from each re-solve that stays infeasible.  By Farkas' lemma a support
+    that avoids the deleted row refutes a subset of the rows left, so the
+    leaf stays infeasible; a leaf is solved again without the row only when
+    every known support uses it (a feasible leaf has none).
     """
     script = fixture.script
-    solved = [(leaf, check_feasibility(_leaf_system(script, leaf)))
-              for leaf in materialize_leaves(fixture)]
+    audited = []   # (leaf, ids of its rows, supports of its known certificates)
+    for leaf in materialize_leaves(fixture):
+        outcome = check_feasibility(_leaf_system(script, leaf))
+        supports = ([_support(leaf.rows, outcome.certificate)]
+                    if isinstance(outcome, Infeasible) else [])
+        audited.append((leaf, {id(r) for r in leaf.rows}, supports))
     records = []
 
     def flips_without(target: ScriptRow) -> bool:
-        for leaf, outcome in solved:
-            used = [i for i, r in enumerate(leaf.rows) if r is target]
-            if not used:
+        t = id(target)
+        for leaf, ids, supports in audited:
+            if t not in ids or not all(t in support for support in supports):
                 continue
-            if isinstance(outcome, Infeasible) and not any(
-                    outcome.certificate.multipliers[i] for i in used):
-                continue
-            kept = tuple(r.row for r in leaf.rows if r is not target)
-            system = LinearSystem(script.variables, kept)
-            if isinstance(check_feasibility(system), Feasible):
+            kept = tuple(r for r in leaf.rows if r is not target)
+            outcome = check_feasibility(LinearSystem(script.variables, tuple(r.row for r in kept)))
+            if isinstance(outcome, Feasible):
                 return True
+            supports.append(_support(kept, outcome.certificate))
         return False
 
     seen: set[int] = set()
@@ -340,7 +349,7 @@ def mutation_audit(fixture: CaseFixture) -> list[MutationRecord]:
         seen.add(id(row))
         records.append(MutationRecord(location, row.text, row.redundant, True,
                                       flips_without(row)))
-    for leaf, _ in solved:
+    for leaf, _, _ in audited:
         for row in leaf.rows:
             if id(row) in seen or row.note == "closure tau >= 1/omega":
                 continue

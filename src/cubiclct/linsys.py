@@ -29,12 +29,13 @@ scratch, and ``check_feasibility`` runs that replay, or evaluates its
 witness against every input row (``Row.evaluate``), before it returns; a
 failure raises ``SelfCheckFailed``.
 
-The certificate walk, the witness back-substitution, the replay and the
-witness check all run in integers over one common denominator; a
-``Fraction`` is built only for each multiplier, witness coordinate and
-variable value they emit.  The replay reads each row's own numerators and
-denominators, never the kernel's scaled rows, so it does not depend on the
-scaling it checks.
+The certificate walk and the witness back-substitution run in integers over
+one common denominator; a ``Fraction`` is built only for each nonzero
+multiplier, witness coordinate and variable value they emit.  The replay and
+the witness check sum in integers too, from each row's own numerators and
+denominators, cached once per Row as one flat tuple (``Row.integer_ratios``);
+they never read the kernel's scaled rows (``primitive``, ``direction``), so
+they do not depend on the scaling they check.
 
 Systems are tiny (at most ~8 variables), which is why Fourier-Motzkin wins
 over an exact simplex here: certificates fall out of the trace for free.
@@ -92,6 +93,13 @@ class Row:
         return tuple(v // g for v in ints[:-1]), ints[-1] // g, scale, g
 
     @cached_property
+    def integer_ratios(self) -> tuple[int, ...]:
+        """``(n_1, d_1, ..., n_k, d_k, n, d)``: each coefficient's and then the
+        constant's numerator and denominator, read once per Row for the
+        self-checks; ``dataclasses.replace`` builds a new Row, which reads its own."""
+        return tuple(x for v in (*self.coeffs, self.constant) for x in v.as_integer_ratio())
+
+    @cached_property
     def direction(self) -> tuple[tuple[int, ...], int]:
         """``(key, g)``: ``primitive``'s coefficients are ``g * key`` with ``key``
         primitive, or ``g = 0`` and ``key`` all zero.  Computed once per Row;
@@ -101,14 +109,22 @@ class Row:
         return (tuple(c // g for c in coeffs) if g > 1 else coeffs), g
 
     def evaluate(self, point: list[Rat]) -> bool:
-        """Whether ``point`` satisfies the row, summed in integers over the
-        lcm of the nonzero terms' denominators and the constant's."""
-        terms = [(c, x) for c, x in zip(self.coeffs, point) if c and x]
-        den = lcm(self.constant.denominator, *(c.denominator * x.denominator for c, x in terms))
-        value = sum(c.numerator * x.numerator * (den // (c.denominator * x.denominator))
-                    for c, x in terms)
-        bound = self.constant.numerator * (den // self.constant.denominator)
-        return value > bound if self.relation == ">" else value >= bound
+        """Whether ``point`` satisfies the row, from ``integer_ratios``: the
+        left side is summed as one integer fraction ``num/den``, ``den > 0``,
+        and compared with the constant by cross-multiplying."""
+        ratios = iter(self.integer_ratios)
+        num, den = 0, 1
+        for x, n, d in zip(point, ratios, ratios):
+            if n:
+                xn, xd = x.as_integer_ratio()
+                if xn:
+                    d *= xd
+                    if d == den:
+                        num += n * xn
+                    else:
+                        num, den = num * d + n * xn * den, den * d
+        n, d = ratios
+        return num * d > n * den if self.relation == ">" else num * d >= n * den
 
     def pretty(self, variables: tuple[str, ...]) -> str:
         terms = []
@@ -270,6 +286,7 @@ def parse_row(expr: str, variables: tuple[str, ...], provenance: str = "") -> Ro
 # the gcd of its coefficients and ``node`` its index in the parent-pointer
 # table of check_feasibility.
 _IntRow = tuple[int, bool, int, int]
+_ZERO_LT = (0).__lt__   # c -> 0 < c, for counting positive entries in C
 
 
 def check_feasibility(sys: LinearSystem, *,
@@ -277,8 +294,10 @@ def check_feasibility(sys: LinearSystem, *,
     """Decide the system exactly; Infeasible carries a replayable certificate.
 
     ``order`` pins the elimination order (used by the order-independence
-    tests); by default the variable minimizing the pos*neg fan-out goes
-    first, ties broken by position.
+    tests): names not in the system are ignored, and once the pinned names
+    run out the next variable is taken by position.  By default the
+    variable minimizing the pos*neg fan-out goes first, ties broken by
+    position.
     """
     variables = list(sys.variables)
     # Input row i, as its Row.primitive, is kernel node i.  A derived node
@@ -308,26 +327,22 @@ def check_feasibility(sys: LinearSystem, *,
 
     # (variable index, rows mentioning it at elimination time) for the witness
     levels: list[tuple[int, list[tuple[tuple[int, ...], _IntRow]]]] = []
-    remaining = list(variables)
+    remaining = list(range(len(variables)))
+    pinned = [variables.index(v) for v in order or () if v in variables]
     while remaining and table:  # variables left once the table empties stay 0
         if order:
-            pending = [v for v in order if v in remaining]
-            var = pending[0] if pending else remaining[0]
+            k = next((j for j in pinned if j in remaining), remaining[0])
         else:
-            plus, minus = [0] * len(variables), [0] * len(variables)
-            for key in table:
-                for j, c in enumerate(key):
-                    if c > 0:
-                        plus[j] += 1
-                    elif c < 0:
-                        minus[j] += 1
-
-            def fanout(v: str) -> tuple[int, int]:
-                k = variables.index(v)
-                return (plus[k] * minus[k], k)
-            var = min(remaining, key=fanout)
-        remaining.remove(var)
-        k = variables.index(var)
+            # one sweep of the table's columns: the least pos*neg fan-out,
+            # ties broken by position (only a smaller fan-out replaces ``k``)
+            columns, least = list(zip(*table)), None
+            for j in remaining:
+                column = columns[j]
+                plus = sum(map(_ZERO_LT, column))
+                fanout = plus * (len(column) - plus - column.count(0))
+                if least is None or fanout < least:
+                    k, least = j, fanout
+        remaining.remove(k)
         level = [(key, row) for key, row in table.items() if key[k]]
         levels.append((k, level))
         for key, _ in level:
@@ -349,7 +364,7 @@ def check_feasibility(sys: LinearSystem, *,
                 parents.append((p_node, ma, n_node, mb, d))
                 strict = p_strict or n_strict
                 if g:
-                    offer(tuple(c // g for c in coeffs),
+                    offer(tuple(coeffs) if g == 1 else tuple(c // g for c in coeffs),
                           (constant // d, strict, len(parents) - 1, g // d))
                 elif constant >= 0 if strict else constant > 0:
                     return _self_checked(
@@ -414,10 +429,10 @@ def _certificate(sys: LinearSystem,
     for i, row in enumerate(sys.rows):
         w = weights.get(i, 0)
         _, c, scale, g = row.primitive
-        multipliers.append(Rat(w * scale, den * g))
+        multipliers.append(Rat(w * scale, den * g) if w else _ZERO)
         constant += w * c
         strict = strict or (w > 0 and row.relation == ">")
-    derived = Row((Rat(0),) * len(sys.variables), Rat(constant, den), ">" if strict else ">=")
+    derived = Row((_ZERO,) * len(sys.variables), Rat(constant, den), ">" if strict else ">=")
     return InfeasibilityCertificate(tuple(multipliers), derived)
 
 
@@ -436,27 +451,33 @@ def _self_checked(sys: LinearSystem, outcome: Feasible | Infeasible) -> Feasible
 def replay_certificate(sys: LinearSystem, cert: InfeasibilityCertificate) -> bool:
     """Recheck a certificate from scratch with exact arithmetic.
 
-    Each term ``m * v`` of the combination is ``m.numerator * v.numerator``
-    over ``m.denominator * v.denominator``, read from the multiplier and the
-    row itself; the terms are summed in integers over their lcm, which is
-    positive, so the sums have the signs of the combined row's entries.
+    Each multiplier is read once, and each row it weights through
+    ``integer_ratios``.  Every entry of the combined row is summed as one
+    integer fraction with a positive denominator, so its numerator has the
+    entry's sign.
     """
     if len(cert.multipliers) != len(sys.rows):
         raise DimensionMismatch("multiplier count does not match row count")
-    if any(m < 0 for m in cert.multipliers):
-        return False
-    used = [(m, (*row.coeffs, row.constant)) for m, row in zip(cert.multipliers, sys.rows) if m]
-    den = lcm(*(m.denominator * v.denominator for m, values in used for v in values))
-    sums = [0] * (len(sys.variables) + 1)
-    for m, values in used:
-        for j, v in enumerate(values):
-            if v:
-                sums[j] += m.numerator * v.numerator * (den // (m.denominator * v.denominator))
-    *coeffs, constant = sums
+    width = len(sys.variables) + 1
+    nums, dens = [0] * width, [1] * width
+    strict_used = False
+    for m, row in zip(cert.multipliers, sys.rows):
+        mn, md = m.as_integer_ratio()
+        if mn < 0:
+            return False
+        if not mn:
+            continue
+        strict_used = strict_used or row.relation == ">"
+        ratios = iter(row.integer_ratios)
+        for j, n, d in zip(range(width), ratios, ratios):
+            if n:
+                d *= md
+                if d == dens[j]:
+                    nums[j] += mn * n
+                else:
+                    nums[j], dens[j] = nums[j] * d + mn * n * dens[j], dens[j] * d
+    *coeffs, constant = nums
     if any(coeffs):
         return False
     # Combined row reads 0 >= constant (or 0 > constant with a strict row used).
-    if constant > 0:
-        return True
-    strict_used = any(m and row.relation == ">" for m, row in zip(cert.multipliers, sys.rows))
-    return strict_used and constant >= 0
+    return constant > 0 or (strict_used and constant >= 0)

@@ -357,7 +357,9 @@ def _scalar(convert, value, where: str):
     """``convert(value)``, with a bad value raised as a located ParseError."""
     try:
         return convert(value)
-    except (ValueError, TypeError, KeyError) as exc:
+    except KeyError as exc:   # str() of a KeyError quotes its message
+        raise ParseError(f"{where}: {exc.args[0]}") from exc
+    except (ValueError, TypeError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
 
@@ -457,6 +459,8 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
                        for i, bspec in enumerate(sspec.get("blocks", ())))
         if not blocks:   # a script without leaves would verify vacuously
             raise ParseError("script: needs at least one block")
+        if "tau" not in variables:   # the closure row would read 0 >= tau_floor
+            raise ParseError("script.variables: lack tau, the threshold reciprocal")
         script = ProofScript(
             sspec["tau_floor"], variables,
             _script_rows(sspec.get("base_rows", ()), variables, "script.base_rows"), blocks,

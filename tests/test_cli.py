@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -293,6 +294,28 @@ def test_fiberwise_map_as_list_is_located_parse_error(capsys, tmp_path):
     assert code == 2
     assert "fiber_e6: fiberwise.map: expected a mapping, got [2, 3, 0, 6]" in err
     assert "Traceback" not in err
+
+
+def test_unknown_script_variable_is_quoted_plainly(capsys, tmp_path):
+    _fixture_copy(tmp_path, "a3", '"2*a1 - a2 >= 0"', '"2*a1 - q >= 0"')
+    code, out, err = run(capsys, "--fixtures", str(tmp_path), "case", "A3")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: a3: script.base_rows[1]: ['q'] not among variables "
+                                "('a1', 'a2', 'a3', 'm', 'tau')"]
+
+
+def test_script_without_tau_is_located_parse_error(capsys, tmp_path):
+    # without a tau variable the closure row reads 0 >= 3/2 and would refute
+    # every leaf by itself, so a feasible leaf would still verify
+    from cubiclct.cli import fixture_dir
+    head, script = (fixture_dir() / "a1.yaml").read_text().split("\nscript:\n")
+    script = re.sub(r"\btau\b", "t", script).replace('"2 >= 3/2*m"', '"m >= 0"')
+    (tmp_path / "a1.yaml").write_text(f"{head}\nscript:\n{script}")
+    code, out, err = run(capsys, "--fixtures", str(tmp_path), "case", "A1")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: a1: script.variables: lack tau, the threshold reciprocal"]
 
 
 def test_kernel_self_check_failure_exits_one(capsys, monkeypatch):

@@ -232,6 +232,26 @@ def test_verdict_independent_of_elimination_order():
         assert len(verdicts) == 1
 
 
+def test_order_ignores_names_not_in_the_system():
+    rng = random.Random(2718)
+    for _ in range(60):
+        system, _ = _random_system(rng)
+        names = list(system.variables)
+        assert check_feasibility(system, order=["zz", *names]) == \
+            check_feasibility(system, order=names), system.pretty()
+
+
+def test_partial_order_is_completed_by_position():
+    rng = random.Random(3141)
+    for _ in range(60):
+        system, _ = _random_system(rng)
+        names = list(system.variables)
+        pinned = rng.sample(names, rng.randint(0, len(names) - 1))
+        rest = [v for v in names if v not in pinned]
+        assert check_feasibility(system, order=[*pinned, "zz"]) == \
+            check_feasibility(system, order=pinned + rest), (system.pretty(), pinned)
+
+
 def test_pruning_does_not_change_verdict():
     rng = random.Random(4242)
     for _ in range(60):
@@ -412,6 +432,51 @@ def test_row_direction_is_computed_once_per_row():
             g = gcd(*coeffs)
             assert r.direction == ((tuple(c // g for c in coeffs) if g else coeffs), g)
     assert "direction" not in vars(replace(row, constant=Rat(1)))
+
+
+def test_row_integer_ratios_are_computed_once_per_row():
+    row = parse_row("x/6 - 2*y/3 >= 5/4", ("x", "y"))
+    assert row.integer_ratios == (1, 6, -2, 3, 5, 4)
+    assert row.integer_ratios is row.integer_ratios
+    assert Row((Rat(0),), Rat(0), ">=").integer_ratios == (0, 1, 0, 1)
+    rng = random.Random(505)
+    for _ in range(50):
+        for r in _rational_system(rng).rows:
+            assert r.integer_ratios == tuple(
+                x for v in (*r.coeffs, r.constant) for x in (v.numerator, v.denominator))
+    moved = replace(row, constant=Rat(7, 2))
+    assert "integer_ratios" not in vars(moved)
+    assert moved.integer_ratios == (1, 6, -2, 3, 7, 2)
+
+
+def test_self_checks_never_read_the_kernel_scaling():
+    # after a solve, a row's ``primitive`` and ``direction`` are poisoned in
+    # its ``__dict__``; the replay and the witness check must not notice
+    rng = random.Random(9191)
+    verdicts = set()
+    for _ in range(150):
+        system = _rational_system(rng)
+        outcome = check_feasibility(system)
+        points = [[Rat(rng.randint(-4, 4), rng.randint(1, 5)) for _ in system.variables]]
+        certificates = []
+        if isinstance(outcome, Feasible):
+            points.append([outcome.witness[v] for v in system.variables])
+        else:
+            m, derived = outcome.certificate
+            i = next(i for i, x in enumerate(m) if x)
+            certificates = [InfeasibilityCertificate(c, derived) for c in (
+                m, m[:i] + (m[i] + Rat(1, 7),) + m[i + 1:], m[:i] + (Rat(0),) + m[i + 1:])]
+
+        def checks():
+            return ([replay_certificate(system, c) for c in certificates]
+                    + [row.evaluate(p) for p in points for row in system.rows])
+
+        before = checks()
+        for row in system.rows:
+            vars(row)["primitive"] = vars(row)["direction"] = None
+        assert checks() == before, system.pretty()
+        verdicts.update(before)
+    assert verdicts == {True, False}
 
 
 def _script_rows(value):
