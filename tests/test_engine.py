@@ -255,22 +255,10 @@ def test_support_driven_audit_matches_brute_force():
             assert record.flips == flips, (key, record.location, record.text)
 
 
-def _brute_force_flips(fixture):
-    """(text, flips) of every audited row, each deletion re-solved on every
-    leaf that holds the row."""
-    leaves = materialize_leaves(fixture)
-    rows = {id(r): r for _, r in engine._authored_rows(fixture)}
-    rows.update((id(r), r) for leaf in leaves for r in leaf.rows
-                if id(r) not in rows and r.note != "closure tau >= 1/omega")
-    return [(row.text, any(
-        isinstance(check_feasibility(LinearSystem(
-            fixture.script.variables, tuple(r.row for r in leaf.rows if r is not row))), Feasible)
-        for leaf in leaves if any(r is row for r in leaf.rows))) for row in rows.values()]
-
-
 def test_audit_reuses_known_certificate_supports(monkeypatch):
     # a deletion is re-solved only when every certificate known for the leaf
-    # (its first solve's, and each infeasible re-solve's) uses the row
+    # (its first solve's, and each infeasible re-solve's) uses the row; that
+    # the records still equal a brute-force re-solve is checked above
     calls = []
 
     def counting(system, **kwargs):
@@ -278,11 +266,9 @@ def test_audit_reuses_known_certificate_supports(monkeypatch):
         return check_feasibility(system, **kwargs)
 
     monkeypatch.setattr(engine, "check_feasibility", counting)
-    records = {key: mutation_audit(fixture) for key, fixture in sorted(CASES.items())}
+    for _, fixture in sorted(CASES.items()):
+        mutation_audit(fixture)
     assert len(calls) == 354
-    monkeypatch.undo()
-    for key, fixture in sorted(CASES.items()):
-        assert [(r.text, r.flips) for r in records[key]] == _brute_force_flips(fixture), key
 
 
 # --- table and criterion --------------------------------------------------------
