@@ -10,6 +10,7 @@ All rationals print as ``p/q``, never as decimals.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -300,7 +301,10 @@ def cmd_fiberwise(args) -> int:
     return EXIT_OK if ok else EXIT_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command grammar, built on the first call and shared by every later
+    one: it depends on no input, and ``parse_args`` does not change it."""
     parser = argparse.ArgumentParser(
         prog="cubiclct",
         description="exact verification of log canonical thresholds on cubic surfaces")
@@ -345,9 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -127,18 +127,13 @@ class Row:
         return num * d > n * den if self.relation == ">" else num * d >= n * den
 
     def pretty(self, variables: tuple[str, ...]) -> str:
+        ratios = iter(self.integer_ratios)
         terms = []
-        for c, v in zip(self.coeffs, variables):
-            if c == 0:
-                continue
-            if c == 1:
-                terms.append(f"+ {v}")
-            elif c == -1:
-                terms.append(f"- {v}")
-            elif c > 0:
-                terms.append(f"+ {format_rat(c)}*{v}")
-            else:
-                terms.append(f"- {format_rat(-c)}*{v}")
+        for v, n, d in zip(variables, ratios, ratios):
+            if n:
+                size = abs(n)
+                scale = "" if size == d == 1 else f"{size}*" if d == 1 else f"{size}/{d}*"
+                terms.append(f"{'+' if n > 0 else '-'} {scale}{v}")
         lhs = " ".join(terms).lstrip("+ ") or "0"
         return f"{lhs} {self.relation} {format_rat(self.constant)}"
 
@@ -454,10 +449,14 @@ def replay_certificate(sys: LinearSystem, cert: InfeasibilityCertificate) -> boo
     Each multiplier is read once, and each row it weights through
     ``integer_ratios``.  Every entry of the combined row is summed as one
     integer fraction with a positive denominator, so its numerator has the
-    entry's sign.
+    entry's sign.  The certificate's ``derived`` row must be that combination:
+    zero coefficients, the same constant, and ``>`` exactly when a strict row
+    has a positive weight.
     """
     if len(cert.multipliers) != len(sys.rows):
         raise DimensionMismatch("multiplier count does not match row count")
+    if len(cert.derived.coeffs) != len(sys.variables):
+        raise DimensionMismatch("derived row width does not match variable count")
     width = len(sys.variables) + 1
     nums, dens = [0] * width, [1] * width
     strict_used = False
@@ -477,7 +476,9 @@ def replay_certificate(sys: LinearSystem, cert: InfeasibilityCertificate) -> boo
                 else:
                     nums[j], dens[j] = nums[j] * d + mn * n * dens[j], dens[j] * d
     *coeffs, constant = nums
-    if any(coeffs):
+    derived = cert.derived.integer_ratios
+    if (any(coeffs) or any(derived[:-2:2]) or derived[-2] * dens[-1] != constant * derived[-1]
+            or cert.derived.relation != (">" if strict_used else ">=")):
         return False
     # Combined row reads 0 >= constant (or 0 > constant with a strict row used).
     return constant > 0 or (strict_used and constant >= 0)

@@ -6,15 +6,19 @@ comments; this module only parses, cross-references and validates them.
 A proof script is base rows plus blocks.  A block lists its branches, or
 names an A_n point with ``generate: <point>``; the loader expands that into
 the point's adjunction case tree (``generate_case_tree``) once.
+A document is composed by ``YAML_LOADER`` into a node tree, which
+``_NodeReader`` reads into plain values (``str``, ``int`` and ``bool``
+scalars, lists and dicts itself, every other tag through PyYAML's safe
+constructor); ``schema.walk`` checks them against ``FIXTURE``.
 The transcription is the risk, so validation is deliberately aggressive:
 besides structural checks it runs an exact intersection-number audit
-(``-K . X`` recomputed through every declared equivalence) that catches
-mistyped incidence vectors.
+(``-K . X`` recomputed through every declared equivalence, in integers over
+each point's inverse-Cartan denominator) that catches mistyped incidence
+vectors.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
 from dataclasses import dataclass
 from fractions import Fraction as Rat
 from typing import NamedTuple
@@ -22,7 +26,7 @@ from typing import NamedTuple
 import yaml
 
 from cubiclct.lattice import (AdeType, BlowupTower, TowerStep, exceptional_nef_rows,
-                              pullback_coefficients)
+                              inverse_cartan)
 from cubiclct.linsys import Row, parse_row
 from cubiclct.qexact import format_rat
 from cubiclct.schema import FIXTURE, ParseError, walk
@@ -245,29 +249,50 @@ def generate_case_tree(ade: AdeType, variables: tuple[str, ...]) -> tuple[Branch
 
 
 #: libyaml's parser when PyYAML was built with it, else the pure-Python one.
-#: Only the parser differs; the resolver and ``_UniqueKeyConstructor``, and
+#: Only the parser differs; the resolver and ``_NodeReader``, and
 #: so every loaded document, are the same under both.
 YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
-_STR, _MERGE = "tag:yaml.org,2002:str", "tag:yaml.org,2002:merge"
+_STR, _INT, _BOOL, _SEQ, _MAP, _MERGE = (
+    f"tag:yaml.org,2002:{t}" for t in ("str", "int", "bool", "seq", "map", "merge"))
 
 
-class _UniqueKeyConstructor(yaml.constructor.SafeConstructor):
-    """PyYAML's safe constructor, except that a key repeated in one mapping is
-    an error at the repeat, not a silent overwrite. A key that a ``<<`` merge
-    brings in may still be overridden by one written in the mapping. A value
-    that its tag's constructor rejects (``!!timestamp a3``, ``!!bool maybe``)
-    is a ``ConstructorError`` at that value, not the constructor's own
-    exception."""
+class _NodeReader(yaml.constructor.SafeConstructor):
+    """PyYAML's safe constructor with its own reader for ``str``, ``int`` and
+    ``bool`` scalars, lists and dicts; any other tag (``null``, ``float``,
+    ``!!set`` ...) goes to the safe constructor, whose children come back here.
+    A list or dict is registered before it is filled, so an alias, a recursive
+    one included, gives the same object.  A key repeated in one mapping is an
+    error at the repeat; a key that a ``<<`` merge brings in may still be
+    overridden by one written in the mapping.  A value that its tag's
+    constructor rejects (``!!timestamp a3``, ``!!bool maybe``) is a
+    ``ConstructorError`` at that value, not the constructor's own exception."""
 
     def construct_object(self, node, deep=False):
+        tag, kind = node.tag, type(node)
+        if kind is yaml.ScalarNode and tag == _STR:
+            return node.value
+        made = self.constructed_objects
+        if node in made:
+            return made[node]
+        if kind is yaml.SequenceNode and tag == _SEQ:
+            made[node] = data = []
+            data.extend(map(self.construct_object, node.value))
+            return data
+        if kind is yaml.MappingNode and tag == _MAP:
+            made[node] = data = {}
+            data.update(self.construct_mapping(node))
+            return data
         try:
-            return super().construct_object(node, deep)
+            if kind is yaml.ScalarNode and tag == _INT:
+                return self.construct_yaml_int(node)
+            if kind is yaml.ScalarNode and tag == _BOOL:
+                return self.construct_yaml_bool(node)
+            return super().construct_object(node, deep=True)
         except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
-            value = f" {node.value!r}" if isinstance(node, yaml.ScalarNode) else ""
+            value = f" {node.value!r}" if kind is yaml.ScalarNode else ""
             raise yaml.constructor.ConstructorError(
-                None, None, f"cannot construct {node.tag}{value}: {exc}",
-                node.start_mark) from exc
+                None, None, f"cannot construct {tag}{value}: {exc}", node.start_mark) from exc
 
     def construct_mapping(self, node, deep=False):
         if not isinstance(node, yaml.MappingNode):
@@ -277,18 +302,20 @@ class _UniqueKeyConstructor(yaml.constructor.SafeConstructor):
         first_written = len(node.value) - written
         mapping, seen = {}, set()
         for i, (key_node, value_node) in enumerate(node.value):
-            key = self.construct_object(key_node, deep=deep)
-            if not isinstance(key, Hashable):
+            key = self.construct_object(key_node)
+            try:
+                hash(key)
+            except TypeError:
                 raise yaml.constructor.ConstructorError(
                     "while constructing a mapping", node.start_mark,
-                    "found unhashable key", key_node.start_mark)
+                    "found unhashable key", key_node.start_mark) from None
             if i >= first_written:
                 if key in seen:
                     raise yaml.constructor.ConstructorError(
                         "while constructing a mapping", node.start_mark,
                         f"found duplicate key {key!r}", key_node.start_mark)
                 seen.add(key)
-            mapping[key] = self.construct_object(value_node, deep=deep)
+            mapping[key] = self.construct_object(value_node)
         return mapping
 
 
@@ -342,7 +369,7 @@ def load_fixture(text: str, name: str = "<fixture>") -> CaseFixture:
     loader = YAML_LOADER(text)
     try:
         node = loader.get_single_node()
-        doc = None if node is None else _UniqueKeyConstructor().construct_document(node)
+        doc = None if node is None else _NodeReader().construct_document(node)
     except yaml.YAMLError as exc:
         raise ParseError(f"{name}: invalid YAML: {exc}") from exc
     finally:
@@ -496,14 +523,18 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
 
 
 def _pullback_cache(model: SurfaceModel):
+    """(curve id, point id) -> ``(numerators, den)``: the curve's pullback at the
+    point, ``Cartan^-1 . incidence``, as integers over the type's denominator."""
     # Malformed incidence vectors are left out: validate_fixture reports them,
     # and the intersection audit skips them instead of failing on them.
-    cache: dict[tuple[str, str], tuple[Rat, ...]] = {}
+    cache: dict[tuple[str, str], tuple[tuple[int, ...], int]] = {}
     for pid, ade in model.points:
+        rows, den = inverse_cartan(ade)
         for c in model.curves:
             vec = c.incidence_at(pid)
             if vec is not None and len(vec) == ade.rank and all(v >= 0 for v in vec):
-                cache[(c.id, pid)] = pullback_coefficients(ade, list(vec))
+                nums = tuple(sum(m * v for m, v in zip(row, vec)) for row in rows)
+                cache[(c.id, pid)] = nums, den
     return cache
 
 
@@ -514,7 +545,8 @@ def intersection_number(model: SurfaceModel, a: NamedCurve, b: NamedCurve,
     ``a . b = (strict a . strict b) + sum over points of inc_a . C^-1 . inc_b``;
     strict self-intersections are -1 for lines and 0 for conics (adjunction
     on the smooth resolution: both are smooth rational curves with
-    ``-K . curve`` equal to the degree).
+    ``-K . curve`` equal to the degree).  Each point's term is summed in
+    integers over its type's denominator.
     """
     if cache is None:
         cache = _pullback_cache(model)
@@ -528,12 +560,11 @@ def intersection_number(model: SurfaceModel, a: NamedCurve, b: NamedCurve,
             strict = Rat(0)
     total = strict
     for pid, _ in model.points:
-        key = (a.id, pid)
-        if key not in cache or (b.id, pid) not in cache:
+        held = cache.get((a.id, pid))
+        if held is None or (b.id, pid) not in cache:
             continue
-        inc_b = b.incidence_at(pid)
-        coeffs = cache[key]
-        total += sum((coeffs[i] * inc_b[i] for i in range(len(inc_b))), Rat(0))
+        nums, den = held
+        total += Rat(sum(n * v for n, v in zip(nums, b.incidence_at(pid))), den)
     return total
 
 

@@ -43,11 +43,9 @@ def parse_rat(text: str) -> Rat:
 
 
 def format_rat(value: Rat) -> str:
-    """Serialize as ``"p/q"``, or ``"p"`` when the denominator is one."""
-    value = Rat(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Serialize an int or Rat as ``"p/q"``, or ``"p"`` when the denominator is one."""
+    n, d = value.as_integer_ratio()
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _integerize_rows(rows: list[list[Rat | int]]) -> list[list[int]]:

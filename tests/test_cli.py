@@ -407,6 +407,21 @@ def test_case_a5_json(capsys):
     assert all("certificate" in leaf for leaf in leaves)
 
 
+def test_one_parser_serves_every_call(capsys):
+    # the grammar is built once per process; no call leaves state for the next
+    from cubiclct.cli import build_parser
+    assert build_parser() is build_parser()
+    code, out, err = run(capsys, "bogus")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'bogus'" in err
+    code, out, _ = run(capsys, "case", "A5", "--json")
+    assert code == 0
+    assert json.loads(out)["command"] == "case A5"
+    code, out, _ = run(capsys, "case", "A5")
+    assert code == 0
+    assert out.startswith("profile A5: omega = 1/4 (expected 1/4)\n")
+
+
 def test_case_accepts_fixture_path(capsys, tmp_path):
     from cubiclct.cli import fixture_dir
     src = Path(str(fixture_dir() / "d4.yaml")).read_text()
@@ -469,6 +484,35 @@ def test_replay_bad_certificate_exits_one(capsys, tmp_path):
     code, payload, _ = run(capsys, "replay", str(sys_file), str(cert_file))
     assert code == 1
     assert json.loads(payload)["replay"] is False
+
+
+@pytest.mark.parametrize("edit, code, answer", [
+    (lambda d: None, 0, '{"replay": true}\n'),
+    (lambda d: d.update(constant="99", coeffs=["5", *d["coeffs"][1:]]), 1,
+     '{"replay": false}\n'),
+    (lambda d: d.update(constant="99"), 1, '{"replay": false}\n'),
+    (lambda d: d.update(relation=">" if d["relation"] == ">=" else ">="), 1,
+     '{"replay": false}\n'),
+    (lambda d: d["coeffs"].append("0"), 2, ""),
+], ids=["untouched", "constant and coefficient", "constant", "relation", "width"])
+def test_replay_checks_the_derived_row(capsys, tmp_path, edit, code, answer):
+    # the derived row a certificate states must be the one its multipliers give
+    from cubiclct.cli import case_fixtures, fixture_dir, load_all_fixtures
+    from cubiclct.engine import materialize_leaves
+    fixture = case_fixtures(load_all_fixtures(fixture_dir(), "A5+A1"))["A5+A1"]
+    leaf = materialize_leaves(fixture)[0]
+    system = LinearSystem(fixture.script.variables, tuple(r.row for r in leaf.rows))
+    sys_file, cert_file = tmp_path / "sys.json", tmp_path / "cert.json"
+    sys_file.write_text(json.dumps(system.to_json()))
+    status, out, _ = run(capsys, "certify", str(sys_file))
+    assert status == 0
+    cert = json.loads(out)["certificate"]
+    edit(cert["derived"])
+    cert_file.write_text(json.dumps(cert))
+    status, out, err = run(capsys, "replay", str(sys_file), str(cert_file))
+    assert (status, out) == (code, answer)
+    if code == 2:
+        assert err == "error: derived row width does not match variable count\n"
 
 
 def test_equivariant_command(capsys):
@@ -770,3 +814,49 @@ def test_case_json_and_mutation_audit_are_pinned(capsys):
         digests = (hashlib.sha256(out.encode()).hexdigest(),
                    hashlib.sha256(repr(mutation_audit(fixture)).encode()).hexdigest())
         assert digests == PINNED[profile], profile
+
+
+#: SHA-256 of every bundled report (``table --json`` without its
+#: ``elapsed_ms``); ``case <profile> --json`` is pinned in ``PINNED``.  A report
+#: that changes must change on purpose.
+REPORTS = {
+    "table --json": "6031669dc5c2b9f4effbbb657e0b39274431f0f3a01e8a8828d197c5b6adac23",
+    "case A1": "50f145a44a3a4948593e518ce2a517f881ea23aad19541bd181fc84f9e35fad5",
+    "case A1+A1": "355c56815cdcbf80c4afdaeec0f0ebebddc78133b798c72c804047efbf2fd12e",
+    "case A2": "ec75b4b24c5ed2ee8096c8ec06e308ee80fda1802b9c9ca27c8176f717b28efb",
+    "case A2+A1": "e3cb77a73b37e78c401d3828d7b7df99dc9c1e352138b2c87add57b49a474021",
+    "case A2+A1+A1": "7900a475bf3cdf80aad3276e5f13042db59f5ac584b46ce561400d7c4033c108",
+    "case A2+A2": "acaba4d25d3488c79e3564d8ff5139924bd237af8ec45ba76b2d5be56b3bfb7d",
+    "case A2+A2+A1": "b83d15989334e87f4b82257f1c6a146b42679350bcb94ae2771271b40ba28e35",
+    "case A3": "544cf63d6f6991114fb23cbda73d168f05536568e3d8395331e16114df5afdea",
+    "case A3+A1": "69857e7962d61a6a09fe4c619f384f1a1ff6f1bbc895a3833a8227c0bef68a4e",
+    "case A3+A1+A1": "781cb12649bfeac4ca800a644a74c2c2732a401ed255d8dd2b99231083013c02",
+    "case A4": "0355bc64deb9bc2bd205f132aa268a46eeca9f3b94ce1cf4694155168e44ea2f",
+    "case A4+A1": "4f26891e3c05719fc01ce991b74d23fb6b5916b531829e31bb9c068ea6321ee1",
+    "case A5": "3066961b7c3c15e36786809563939e259675e4fb2bbdf7f53cb38eb86831063f",
+    "case A5+A1": "8fb137c422e3e84a034ef5dbee57dd2a8624f7f58303de7bba9b421461a99fcd",
+    "case D4": "1d0f41d12bd876548f6a1f50ced119c25f8ea861dc5cf314c2f0cdf1bfd173e0",
+    "case D5": "2087461ca6b961755fc58ffcf21e26795829b8ddbb0a8f97028bacddf1af551c",
+    "case E6": "bdce6e14de2f972f3a9682e8dabc8a944301b44972635d6d97888b6d90093d8d",
+    "equivariant cayley --json": "420a396116a9e8b5e76c470f6a0575f764afb2c800e2eca4d7214dc31213a42b",
+    "equivariant xyzt3 --json": "42f89b8ad8f200560ce45de68669482870f5db912cdfc2594d57a6b98b21762c",
+    "fiberwise fiber_d4 --json": "af5c758909ef9947fa83089d9b4489698e78148808de987a20d48335913aa133",
+    "fiberwise fiber_d5 --json": "3c5a4255ec6b374b4de6945eb53b1bf4aac0b82219fef63b22e9bdf7b5da405f",
+    "fiberwise fiber_e6 --json": "3769fb63880e37f4c5ac0d8d1b94c532d311293c1a42a9f8ea5d5ad62d2ac9aa",
+    **{f"case {profile} --json": digests[0] for profile, digests in PINNED.items()},
+}
+
+
+def test_every_bundled_report_is_pinned(capsys):
+    changed = {}
+    for argv, pinned in REPORTS.items():
+        code, out, err = run(capsys, *argv.split())
+        assert (code, err) == (0, ""), argv
+        if argv == "table --json":   # the one report that carries a wall-clock time
+            out, n = re.subn(r',\n  "elapsed_ms": \d+\n', "\n", out)
+            assert n == 1
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        if digest != pinned:
+            changed[argv] = digest
+    assert not changed, "new digests:\n" + "\n".join(
+        f"    {argv!r}: {digest!r}," for argv, digest in changed.items())

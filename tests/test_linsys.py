@@ -312,14 +312,25 @@ def _fraction_walk(system, parents, node):
                  for i, row in enumerate(system.rows))
 
 
-def _fraction_replay(system, multipliers):
-    """The combination summed in Fractions, entry by entry."""
-    if any(m < 0 for m in multipliers):
-        return False
+def _combination(system, multipliers) -> Row:
+    """The row that nonnegative ``multipliers`` combine the rows into, summed in
+    Fractions entry by entry."""
     *coeffs, constant = (sum((m * v for m, v in zip(multipliers, column)), Rat(0))
                          for column in zip(*((*r.coeffs, r.constant) for r in system.rows)))
     strict = any(m and r.relation == ">" for m, r in zip(multipliers, system.rows))
-    return not any(coeffs) and (constant > 0 or (strict and constant >= 0))
+    return Row(tuple(coeffs), constant, ">" if strict else ">=")
+
+
+def _fraction_replay(system, multipliers, derived):
+    """The combination summed in Fractions; ``derived`` must be that combination."""
+    if any(m < 0 for m in multipliers):
+        return False
+    row = _combination(system, multipliers)
+    if (derived.coeffs, derived.constant, derived.relation) != (row.coeffs, row.constant,
+                                                                row.relation):
+        return False
+    return not any(row.coeffs) and (row.constant > 0 or (row.relation == ">" and
+                                                         row.constant >= 0))
 
 
 def _walked_certificates(monkeypatch, count=60):
@@ -371,10 +382,13 @@ def test_replay_agrees_with_a_fraction_sum_on_tampered_certificates(monkeypatch)
             tampered.append(moved)
             moved_strict += 1
         for multipliers in tampered:
-            attempt = InfeasibilityCertificate(tuple(multipliers), cert.derived)
-            verdict = replay_certificate(system, attempt)
-            assert verdict == _fraction_replay(system, multipliers), (system.pretty(), multipliers)
-            verdicts.add(verdict)
+            # the kernel's derived row, and the row these multipliers derive
+            for derived in (cert.derived, _combination(system, multipliers)):
+                attempt = InfeasibilityCertificate(tuple(multipliers), derived)
+                verdict = replay_certificate(system, attempt)
+                assert verdict == _fraction_replay(system, multipliers, derived), \
+                    (system.pretty(), multipliers, derived)
+                verdicts.add(verdict)
         assert replay_certificate(system, cert)
     assert verdicts == {True, False}
     assert moved_strict > 0
@@ -384,11 +398,13 @@ def test_replay_takes_plain_int_multipliers():
     system = sys_of(("x",), "x >= 1", "-x >= 0")
     derived = Row((Rat(0),), Rat(1), ">=")
     assert replay_certificate(system, InfeasibilityCertificate((1, 1), derived))
-    assert replay_certificate(system, InfeasibilityCertificate((3, 3), derived))
+    assert replay_certificate(system, InfeasibilityCertificate((3, 3),
+                                                               Row((Rat(0),), Rat(3), ">=")))
     assert not replay_certificate(system, InfeasibilityCertificate((1, 0), derived))
     assert not replay_certificate(system, InfeasibilityCertificate((1, -1), derived))
     halves = sys_of(("x",), "2*x >= 1", "-3*x > -1")   # x >= 1/2 and x < 1/3
-    assert replay_certificate(halves, InfeasibilityCertificate((3, 2), derived))
+    assert replay_certificate(halves, InfeasibilityCertificate((3, 2),
+                                                               Row((Rat(0),), Rat(1), ">")))
 
 
 def test_row_primitive_is_computed_once_per_row():

@@ -146,7 +146,10 @@ def test_peek_profile_reads_the_written_key(text, key):
     ("profile: [A3]", "profile: [A3]\nprofile: [A2]", "line 7, column 1"),
     ("{id: L5, kind: line, incidence: {O: [0, 0, 1]}}",
      "{id: L5, kind: line, incidence: {O: [0, 0, 1], O: [1, 0, 0]}}", "line 15, column 52"),
-], ids=["profile", "incidence"])
+    ("{id: L5, kind: line, incidence: {O: [0, 0, 1]}}",
+     "{<<: {kind: conic}, id: L5, kind: line, incidence: {O: [0, 0, 1]}, id: L6}",
+     "line 15, column 72"),
+], ids=["profile", "incidence", "after a merge"])
 def test_repeated_key_is_located_parse_error(monkeypatch, loader, old, new, where):
     monkeypatch.setattr(model, "YAML_LOADER", loader)
     text = Path(str(fixture_dir() / "a3.yaml")).read_text()
@@ -421,3 +424,48 @@ def test_boolean_fields_take_yaml_booleans_only(name, old, new, message):
     assert old in text
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         load_fixture(text.replace(old, new, 1), name=name)
+
+
+_ONE_LINE = """profile: [A1]
+points:
+  O: {type: A1}
+curves:
+  - &line {id: L1, kind: line, incidence: {O: [1]}}
+"""
+_L1 = ("L1", "line", (("O", (1,)),))
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("text, name, curves", [
+    (_ONE_LINE + "  - *line\n", "doc", [_L1, _L1]),
+    # of two merged mappings the first listed wins; a written key overrides both
+    (_ONE_LINE + "  - &conic {id: L2, kind: conic}\n  - {<<: [*conic, *line], id: L3}\n",
+     "doc", [_L1, ("L2", "conic", ()), ("L3", "conic", (("O", (1,)),))]),
+    (_ONE_LINE.replace("profile: [A1]", "profile: [A1]\nname: !!str 1")
+     + '  - {id: L2, kind: conic, incidence: {O: [!!int "3"]}}\n',
+     "1", [_L1, ("L2", "conic", (("O", (3,)),))]),
+], ids=["aliased curve", "merge of two", "explicit str and int tags"])
+def test_aliases_merges_and_tags_load_their_values(monkeypatch, loader, text, name, curves):
+    monkeypatch.setattr(model, "YAML_LOADER", loader)
+    fixture = load_fixture(text, name="doc")
+    assert fixture.name == name
+    assert [(c.id, c.kind, c.incidence) for c in fixture.model.curves] == curves
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+def test_recursive_alias_is_read_as_the_same_list(monkeypatch, loader):
+    monkeypatch.setattr(model, "YAML_LOADER", loader)
+    with pytest.raises(ParseError, match=re.escape("doc: profile[1]: bad ADE label "
+                                                   "['A1', [...]]") + "$"):
+        load_fixture(_ONE_LINE.replace("profile: [A1]", "profile: &a [A1, *a]"), name="doc")
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+def test_merging_an_anchor_that_merges_is_no_repeated_key(monkeypatch, loader):
+    # pairwise is anchored deeper than the mapping that merges it; the merge
+    # it holds itself was once counted as a repeat of its written key L1
+    monkeypatch.setattr(model, "YAML_LOADER", loader)
+    text = _ONE_LINE.replace("incidence: {O: [1]}}",
+                             "incidence: {O: [1]}, pairwise: &pw {<<: {L1: 0}, L1: 1}}")
+    with pytest.raises(ParseError, match=r"^doc: witness: missing key 'divisor'$"):
+        load_fixture(text + "witness: {<<: *pw}\n", name="doc")
