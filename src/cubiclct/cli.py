@@ -24,7 +24,7 @@ from cubiclct.linsys import (DimensionMismatch, InfeasibilityCertificate, Linear
                              SelfCheckFailed, check_feasibility, Infeasible,
                              replay_certificate)
 from cubiclct.model import (ADMISSIBLE_PROFILES, CaseFixture, ParseError,
-                            load_fixture, peek_profile, profile_key, validate_fixture)
+                            load_fixture, profile_key, validate_fixture)
 from cubiclct.qexact import format_rat
 
 ENV_FIXTURE_DIR = "CUBICLCT_FIXTURE_DIR"
@@ -49,29 +49,32 @@ def fixture_dir(override: str | None = None) -> Path:
     return Path(str(resources.files("cubiclct") / "fixtures"))
 
 
-def load_all_fixtures(directory: Path, profile: str | None = None) -> dict[str, CaseFixture]:
-    """The fixtures under ``directory`` by file stem. With ``profile``, only the
-    files that may declare it: those whose ``peek_profile`` is it or ``None``."""
-    fixtures = {}
-    for path in sorted(directory.glob("*.yaml")):
-        text = path.read_text()
-        if profile is None or peek_profile(text) in (profile, None):
-            fixtures[path.stem] = load_fixture(text, name=path.stem)
-    return fixtures
+def _load(path: Path) -> CaseFixture:
+    return load_fixture(path.read_text(), name=path.stem)
+
+
+def load_all_fixtures(directory: Path) -> dict[str, CaseFixture]:
+    """The fixtures under ``directory`` by file stem."""
+    return {path.stem: _load(path) for path in sorted(directory.glob("*.yaml"))}
+
+
+def _case_stem(key: str) -> str:
+    """The file stem of profile ``key``'s case fixture: ``A5+A1`` is ``a5a1``."""
+    return key.replace("+", "").lower()
 
 
 def case_fixtures(fixtures: dict[str, CaseFixture]) -> dict[str, CaseFixture]:
-    """Case fixtures keyed by profile; two fixtures of one profile are an error."""
+    """Case fixtures keyed by profile; each file stem must be its profile's
+    ``_case_stem``, so no two can declare one profile."""
     cases: dict[str, CaseFixture] = {}
-    names: dict[str, str] = {}
-    for name, f in fixtures.items():
+    for stem, f in fixtures.items():
         if f.script is None:
             continue
         key = f.model.profile.key
-        if key in names:
-            raise ParseError(f"fixtures {names[key]!r} and {name!r} both declare "
-                             f"profile {key}")
-        cases[key], names[key] = f, name
+        if stem != _case_stem(key):
+            raise ParseError(f"{stem}: the case fixture of profile {key} must be named "
+                             f"{_case_stem(key)}.yaml")
+        cases[key] = f
     return cases
 
 
@@ -88,18 +91,20 @@ def _check_valid(fixtures) -> None:
 
 
 def _open_fixture(token: str, directory: Path) -> CaseFixture:
-    """The validated fixture that ``token`` names: a path, else the one file
-    ``<directory>/<token>.yaml``, else a profile among the case fixtures."""
+    """The validated fixture that ``token`` names: a path, else the file
+    ``<directory>/<token>.yaml``, else the case fixture of profile ``token``,
+    the file that ``_case_stem`` names.  Each step reads one file."""
     for path in (Path(token), directory / f"{token}.yaml"):
         if path.is_file():
-            fixture = load_fixture(path.read_text(), name=path.stem)
+            fixture = _load(path)
             break
     else:
         try:
             key = profile_key(token.split("+"))
         except ValueError:
             key = token
-        fixture = case_fixtures(load_all_fixtures(directory, key)).get(key)
+        path = directory / f"{_case_stem(key)}.yaml"
+        fixture = case_fixtures({path.stem: _load(path)}).get(key) if path.is_file() else None
         if fixture is None:
             raise ParseError(f"no fixture named or matching {token!r} under {directory}")
     _check_valid([fixture])

@@ -319,47 +319,6 @@ class _NodeReader(yaml.constructor.SafeConstructor):
         return mapping
 
 
-def peek_profile(text: str) -> str | None:
-    """``profile_key`` of the document's top-level ``profile`` list, or ``None``.
-
-    Reads parser events only up to the end of that list. ``None`` means the
-    list cannot be read plainly: there is no such key, broken YAML comes
-    before it, its value is not a list of scalars (an alias, say), or
-    ``profile_key`` rejects a label. Whenever this is not ``None``, a document
-    that loads declares this profile: ``load_fixture`` refuses a repeated
-    key, a ``<<`` merge never overrides a written one, and a label with a
-    tag other than ``str`` fails to load.
-    """
-    loader = YAML_LOADER(text)
-    try:
-        for _ in range(3):   # stream start, document start, the top-level node
-            event = loader.get_event()
-        if not isinstance(event, yaml.MappingStartEvent):
-            return None
-        while isinstance(key := loader.get_event(), yaml.ScalarEvent):
-            value = loader.get_event()
-            # a plain or quoted ``profile`` resolves to str; only an explicit tag differs
-            if key.value == "profile" and key.tag in (None, "!", _STR):
-                if not isinstance(value, yaml.SequenceStartEvent):
-                    return None
-                labels = []
-                while isinstance(event := loader.get_event(), yaml.ScalarEvent):
-                    labels.append(event.value)
-                if not isinstance(event, yaml.SequenceEndEvent):
-                    return None
-                return profile_key(labels)
-            depth = isinstance(value, yaml.CollectionStartEvent)   # skip any other value
-            while depth:
-                event = loader.get_event()
-                depth += (isinstance(event, yaml.CollectionStartEvent)
-                          - isinstance(event, yaml.CollectionEndEvent))
-        return None   # the mapping ended, or a key is an alias or a collection
-    except (yaml.YAMLError, ValueError):   # broken YAML, or a label profile_key rejects
-        return None
-    finally:
-        loader.dispose()
-
-
 def load_fixture(text: str, name: str = "<fixture>") -> CaseFixture:
     """Parse one fixture document; all rationals exact, all ids resolved.
 
@@ -400,7 +359,17 @@ def _script_rows(items, variables, ctx) -> tuple[ScriptRow, ...]:
     return tuple(rows)
 
 
+def _unique(names, ctx: str, what: str) -> None:
+    """A located ParseError at the first name that ``names`` repeats."""
+    seen = set()
+    for i, name in enumerate(names):
+        if name in seen:
+            raise ParseError(f"{ctx}[{i}].{what}: repeated {what} {name!r}")
+        seen.add(name)
+
+
 def _branches(items, variables, ctx) -> tuple[Branch, ...]:
+    _unique((b["name"] for b in items), ctx, "name")
     return tuple(Branch(b["name"], _script_rows(b.get("rows", ()), variables, f"{ctx}[{i}].rows"))
                  for i, b in enumerate(items))
 
@@ -447,6 +416,7 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
                          for pid, vec in spec.get("incidence", {}).items()),
                    tuple(spec.get("pairwise", {}).items()))
         for i, spec in enumerate(doc.get("curves", ())))
+    _unique((c.id for c in curves), "curves", "id")
     curve_ids = {c.id for c in curves}
     for i, c in enumerate(curves):
         for other, _ in c.pairwise:
@@ -622,11 +592,12 @@ def validate_fixture(fixture: CaseFixture) -> list[str]:
             findings.append(
                 f"script: tau_floor {format_rat(script.tau_floor)} is not the "
                 f"reciprocal of expected_omega {format_rat(fixture.expected_omega)}")
-        base = {(r.row.coeffs, r.row.constant, r.row.relation) for r in script.base_rows}
+        base = {(r.row.integer_ratios, r.row.relation) for r in script.base_rows}
         for point in dict.fromkeys(b.generate for b in script.blocks if b.generate):
             for j, form in enumerate(exceptional_nef_rows(model.ade(point))):
-                coeffs = tuple(form.get(v, Rat(0)) for v in script.variables)
-                if (coeffs, Rat(0), ">=") not in base:
+                # the form as ``Row.integer_ratios`` reads it: each int over 1, then 0/1
+                ratios = tuple(x for v in script.variables for x in (form.get(v, 0), 1))
+                if (ratios + (0, 1), ">=") not in base:
                     findings.append(f"script: nef row for node {j+1} at {point} "
                                     "missing or mistyped")
 

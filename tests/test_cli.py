@@ -239,23 +239,12 @@ def test_every_fixture_command_rejects_an_invalid_fixture(capsys, tmp_path, name
     assert lines and all(line.startswith(f"invalid fixture: {name}: ") for line in lines)
 
 
-def test_fixture_name_reads_one_file(capsys, monkeypatch):
-    from cubiclct import cli
-    loaded = []
-
-    def counting(text, name="<fixture>"):
-        loaded.append(name)
-        return load_fixture(text, name=name)
-    monkeypatch.setattr(cli, "load_fixture", counting)
-    code, _, _ = run(capsys, "case", "a5")
-    assert code == 0
-    assert loaded == ["a5"]
-
-
-@pytest.mark.parametrize("token, expected", [("A5+A1", ["a5a1"]),
-                                             ("D4", ["d4", "fiber_d4"])])
+@pytest.mark.parametrize("token, expected", [("A5+A1", ["a5a1"]), ("D4", ["d4"]),
+                                             ("a5", ["a5"]), ("A1+A5", ["a5a1"])])
 def test_profile_token_loads_only_the_files_that_declare_it(capsys, monkeypatch,
                                                             token, expected):
+    # a fixture name is its file; a profile is the file named by its key,
+    # A5+A1 as a5a1.yaml, and fiber_d4 (profile D4, no script) is not read
     from cubiclct import cli
     loaded = []
 
@@ -328,23 +317,34 @@ def test_kernel_self_check_failure_exits_one(capsys, monkeypatch):
 
 
 def test_duplicate_profile_is_parse_error(capsys, tmp_path):
+    # two case fixtures of one profile cannot both be named by it
     _fixture_copy(tmp_path, "a5")
     _fixture_copy(tmp_path, "a5", as_name="a5copy")
-    code, _, err = run(capsys, "--fixtures", str(tmp_path), "table")
-    assert code == 2
-    assert "'a5'" in err and "'a5copy'" in err
+    code, out, err = run(capsys, "--fixtures", str(tmp_path), "table")
+    assert (code, out) == (2, "")
+    assert err == "error: a5copy: the case fixture of profile A5 must be named a5.yaml\n"
+
+
+def test_misnamed_case_fixture_is_parse_error(capsys, tmp_path):
+    _fixture_copy(tmp_path, "a5", as_name="foo")
+    code, out, err = run(capsys, "--fixtures", str(tmp_path), "table")
+    assert (code, out) == (2, "")
+    assert err == "error: foo: the case fixture of profile A5 must be named a5.yaml\n"
 
 
 def test_case_rejects_duplicate_profile_like_table(capsys, tmp_path):
+    # a profile reads the one file named by it, and a fixture name its own file
     _fixture_copy(tmp_path, "a5")
     _fixture_copy(tmp_path, "a5", as_name="a5copy")
+    for token in ("A5", "a5copy"):
+        code, out, err = run(capsys, "--fixtures", str(tmp_path), "case", token)
+        assert (code, err) == (0, "")
+        assert out.startswith("profile A5: omega = 1/4")
+    # the file named by a profile must declare it
+    _fixture_copy(tmp_path, "a3", as_name="a5")
     code, out, err = run(capsys, "--fixtures", str(tmp_path), "case", "A5")
-    assert code == 2
-    assert out == ""
-    assert "'a5'" in err and "'a5copy'" in err
-    # a fixture name is not ambiguous
-    code, _, _ = run(capsys, "--fixtures", str(tmp_path), "case", "a5copy")
-    assert code == 0
+    assert (code, out) == (2, "")
+    assert err == "error: a5: the case fixture of profile A3 must be named a3.yaml\n"
 
 
 def test_repeated_profile_key_is_an_input_error(capsys, tmp_path):
@@ -389,7 +389,7 @@ def test_fiberwise_failed_identity_exits_one(capsys, tmp_path):
 
 def test_inconsistent_table_exits_one(capsys, tmp_path):
     # a verified omega of 2/3 filed under A2, whose clause gives 1/2
-    _fixture_copy(tmp_path, "a1", "profile: [A1]", "profile: [A2]")
+    _fixture_copy(tmp_path, "a1", "profile: [A1]", "profile: [A2]", as_name="a2")
     code, out, err = run(capsys, "--fixtures", str(tmp_path), "table")
     assert code == 1
     assert out == ""
@@ -499,7 +499,7 @@ def test_replay_checks_the_derived_row(capsys, tmp_path, edit, code, answer):
     # the derived row a certificate states must be the one its multipliers give
     from cubiclct.cli import case_fixtures, fixture_dir, load_all_fixtures
     from cubiclct.engine import materialize_leaves
-    fixture = case_fixtures(load_all_fixtures(fixture_dir(), "A5+A1"))["A5+A1"]
+    fixture = case_fixtures(load_all_fixtures(fixture_dir()))["A5+A1"]
     leaf = materialize_leaves(fixture)[0]
     system = LinearSystem(fixture.script.variables, tuple(r.row for r in leaf.rows))
     sys_file, cert_file = tmp_path / "sys.json", tmp_path / "cert.json"

@@ -10,7 +10,7 @@ from cubiclct.cli import case_fixtures, fixture_dir, load_all_fixtures
 from cubiclct.engine import witness_lct_upper
 from cubiclct.model import (ADMISSIBLE_PROFILES, DanglingReference, ParseError,
                             SingularityProfile, intersection_number, load_fixture,
-                            peek_profile, profile_key, validate_fixture)
+                            profile_key, validate_fixture)
 
 FIXTURES = load_all_fixtures(fixture_dir())
 # the libyaml parser when PyYAML has it, and always the pure-Python fallback
@@ -104,41 +104,6 @@ def test_malformed_yaml_is_located_under_each_loader(monkeypatch, loader):
     assert message.startswith("a3: invalid YAML: ")
     assert "line 13, column 5" in message   # the flow mapping left open
     assert "line 14, column 3" in message   # where a ',' or '}' was expected
-
-
-@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
-def test_peek_profile_matches_the_loaded_profile(monkeypatch, loader):
-    monkeypatch.setattr(model, "YAML_LOADER", loader)
-    paths = sorted(Path(str(fixture_dir())).glob("*.yaml"))
-    assert len(paths) == 22
-    for path in paths:
-        text = path.read_text()
-        assert peek_profile(text) == load_fixture(text, path.stem).model.profile.key, path
-
-
-@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
-@pytest.mark.parametrize("text", [
-    "labels: &p [A5]\nprofile: *p\n",
-    "profile: A5\n",
-    "profile: [3]\n",
-    "profile: [A5, [A1]]\n",
-    "name: [a5\nprofile: [A5]\n",
-    "<<: {profile: [A5]}\n",
-    "name: a5\n",
-], ids=["alias", "not a list", "int label", "nested list", "broken before", "merge key",
-        "no key"])
-def test_peek_profile_is_none_when_unreadable(monkeypatch, loader, text):
-    monkeypatch.setattr(model, "YAML_LOADER", loader)
-    assert peek_profile(text) is None
-
-
-@pytest.mark.parametrize("text, key", [
-    ("name: {a: [1, {b: 2}]}\n'profile': [A1, \"A5\"]\nbroken: [\n", "A5+A1"),
-    ("!!null profile: [A1]\nprofile: [A5]\n", "A5"),
-    ("<<: {profile: [A1]}\nprofile: [A5]\n", "A5"),
-], ids=["stops at the list", "null key", "merge overridden"])
-def test_peek_profile_reads_the_written_key(text, key):
-    assert peek_profile(text) == key
 
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
@@ -377,6 +342,25 @@ def test_malformed_script_is_located_parse_error(old, new, error, message):
         load_fixture(A3_SCRIPT.replace(old, new), name="doc")
 
 
+@pytest.mark.parametrize("name, old, new, message", [
+    ("a3a1", "  - {id: L2, kind: line, incidence: {O: [0, 1, 0]}}\n",
+     "  - {id: L2, kind: line, incidence: {O: [0, 1, 0]}}\n" * 2,
+     "curves[2].id: repeated id 'L2'"),
+    ("e6", "- name: smooth point of multiplicity above tau",
+     "- name: curve of multiplicity above tau",
+     "script.blocks[0].branches[1].name: repeated name 'curve of multiplicity above tau'"),
+    ("a3", "- name: one end line off the support at each end",
+     "- name: middle line off the support",
+     "script.blocks[0].alternatives[1].name: repeated name 'middle line off the support'"),
+], ids=["curve id", "branch name", "alternative name"])
+def test_repeated_id_or_leaf_name_is_located_parse_error(name, old, new, message):
+    # a repeated curve once loaded and verified; a repeated name gave two leaves of one name
+    text = Path(str(fixture_dir() / f"{name}.yaml")).read_text()
+    assert text.count(old) == 1
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{name}: {message}')}$"):
+        load_fixture(text.replace(old, new), name=name)
+
+
 @pytest.mark.parametrize("value, message", [
     ("L1", "witness.tangencies: expected a list, got 'L1'"),
     ("[1]", "witness.tangencies[0]: expected a string, got 1"),
@@ -437,7 +421,9 @@ _L1 = ("L1", "line", (("O", (1,)),))
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
 @pytest.mark.parametrize("text, name, curves", [
-    (_ONE_LINE + "  - *line\n", "doc", [_L1, _L1]),
+    # an alias of L1's incidence; an alias of the whole curve would repeat its id
+    (_ONE_LINE.replace("{O: [1]}", "&inc {O: [1]}") + "  - {id: L2, kind: conic, incidence: *inc}\n",
+     "doc", [_L1, ("L2", "conic", (("O", (1,)),))]),
     # of two merged mappings the first listed wins; a written key overrides both
     (_ONE_LINE + "  - &conic {id: L2, kind: conic}\n  - {<<: [*conic, *line], id: L3}\n",
      "doc", [_L1, ("L2", "conic", ()), ("L3", "conic", (("O", (1,)),))]),

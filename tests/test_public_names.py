@@ -3,11 +3,13 @@ so that deleting one fails here and not only in the traced benchmark run."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import cubiclct
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+TRACING = BENCHMARKS / "tracing.py"
 
 
 def _tracing_targets():
@@ -23,6 +25,16 @@ def test_every_traced_function_exists():
     for module_name, attr, _, _ in targets:
         module = importlib.import_module(f"cubiclct.{module_name}")
         assert callable(getattr(module, attr, None)), f"cubiclct.{module_name}.{attr}"
+
+
+def test_every_name_the_benchmark_reaches_exists():
+    # the workloads reach cubiclct as ``prog.<module>.<name>``
+    names = {m.groups() for path in sorted(BENCHMARKS.glob("*.py"))
+             for m in re.finditer(r"\bprog\.(\w+)\.(\w+)", path.read_text())}
+    assert ("cli", "load_all_fixtures") in names
+    for module_name, attr in sorted(names):
+        module = importlib.import_module(f"cubiclct.{module_name}")
+        assert hasattr(module, attr), f"cubiclct.{module_name}.{attr}"
 
 
 def test_every_exported_name_resolves():
