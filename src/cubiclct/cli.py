@@ -2,8 +2,9 @@
 
 Subcommands: ``table``, ``case``, ``pullback``, ``certify``, ``replay``,
 ``equivariant``, ``fiberwise``.  Exit codes: 0 all verified, 1 a
-verification failed (the feasible witness point is printed, or the FM
-kernel's own witness or certificate check failed), 2 input or usage error.
+verification failed (the feasible witness point is printed, a leaf refuted
+without its closure row is named, or the FM kernel's own witness or
+certificate check failed), 2 input or usage error.
 All rationals print as ``p/q``, never as decimals.
 """
 
@@ -147,7 +148,9 @@ def _print_case_text(result: engine.CaseResult) -> None:
           f"(expected {format_rat(result.expected_omega)})")
     print(f"  upper bound attained by: {', '.join(result.upper.minima)}")
     for leaf in result.lower.leaves:
-        if leaf.certificate is not None:
+        if leaf.vacuous:
+            print(f"  [VACUOUS]    {leaf.name}  infeasible without {leaf.system.pretty()[0]}")
+        elif leaf.certificate is not None:
             mults = [m for m in leaf.certificate.multipliers if m != 0]
             print(f"  [infeasible] {leaf.name} ({len(mults)} active multipliers)")
         else:

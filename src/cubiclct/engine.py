@@ -13,7 +13,8 @@ bounded below by its closure value.  A script is base rows plus blocks,
 and each block gives one leaf per alternative and branch; the branches of
 a ``generate`` block are the A_n adjunction case tree that ``model``
 expanded when it loaded the fixture.  A script verifies when every leaf
-system is infeasible, each with a replayable Farkas certificate.  The
+system is infeasible, each with a replayable Farkas certificate that gives
+the closure row ``tau >= 1/omega`` positive weight.  The
 non-linear localization steps (connectedness, degree bounds, convexity
 choices) are recorded as tagged assumptions; where their arithmetic core
 is linear it is checked as a small exclusion system.
@@ -110,6 +111,12 @@ class LeafResult(NamedTuple):
     certificate: InfeasibilityCertificate | None
     witness: dict[str, Rat] | None
 
+    @property
+    def vacuous(self) -> bool:
+        """Infeasible without its closure row (row 0, ``tau >= 1/omega``): the
+        certificate gives that row weight 0, so the leaf bounds nothing."""
+        return self.certificate is not None and not self.certificate.multipliers[0]
+
 
 class AssumptionResult(NamedTuple):
     tag: str
@@ -155,7 +162,8 @@ def _leaf_system(script: ProofScript, leaf: Branch) -> LinearSystem:
 
 
 def verify_lower_bound_script(fixture: CaseFixture) -> LowerBoundResult:
-    """Send every leaf to the feasibility checker; verified iff all infeasible.
+    """Send every leaf to the feasibility checker; verified iff all infeasible
+    and none ``vacuous``.
 
     A feasible leaf is reported with its witness point, which is the most
     useful debugging output a broken transcription can produce.
@@ -163,15 +171,14 @@ def verify_lower_bound_script(fixture: CaseFixture) -> LowerBoundResult:
     script = fixture.script
     leaves = materialize_leaves(fixture)
     results = []
-    verified = True
     for leaf in leaves:
         system = _leaf_system(script, leaf)
         outcome = check_feasibility(system)
         if isinstance(outcome, Infeasible):
             results.append(LeafResult(leaf.name, system, outcome.certificate, None))
         else:
-            verified = False
             results.append(LeafResult(leaf.name, system, None, outcome.witness))
+    verified = all(r.certificate is not None and not r.vacuous for r in results)
 
     assumptions = []
     for assumption in script.assumptions:

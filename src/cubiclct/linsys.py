@@ -16,6 +16,18 @@ over the integers:
   offered to it as it is made.  The table keeps only the tightest row per
   direction, which collapses the duplicates that make FM blow up; an
   all-zero combination is instead tested for a contradiction at once;
+- Chernikov's rule (S. N. Chernikov, "The convolution of finite systems of
+  linear inequalities", USSR Comput. Math. Math. Phys. 5(1), 1965; J.-L.
+  Imbert, "Fourier's elimination: which to choose?", PPCP 1993): after s
+  eliminations, a row built from more than s+1 input rows is implied by
+  rows built from fewer, so at the level that eliminates the s-th variable
+  a pair whose histories (bitmasks of input rows) together hold more than
+  s+1 rows is skipped before any arithmetic.  Of two rows on one direction
+  the kept one takes the AND of both histories; so every row that FM
+  without the rule would build from at most s+1 input rows keeps a
+  representative at least as tight whose history lies inside its support.
+  Histories decide pruning only: certificates and witnesses read the parent
+  pointers;
 - every derived row stores parent pointers ``(parent_a, mult_a, parent_b,
   mult_b, divisor)`` instead of its own lineage.
 
@@ -277,10 +289,13 @@ def parse_row(expr: str, variables: tuple[str, ...], provenance: str = "") -> Ro
 # --- Fourier-Motzkin --------------------------------------------------------
 
 # A kernel row ``g * key . x  REL  constant`` is held as ``key -> (constant,
-# strict, node, g)``: ``key`` is its primitive coefficient direction, ``g > 0``
-# the gcd of its coefficients and ``node`` its index in the parent-pointer
-# table of check_feasibility.
-_IntRow = tuple[int, bool, int, int]
+# strict, node, g, hist)``: ``key`` is its primitive coefficient direction,
+# ``g > 0`` the gcd of its coefficients, ``node`` its index in the
+# parent-pointer table of check_feasibility and ``hist`` its history for
+# Chernikov's rule: input row i has bit i, a combination the OR of its
+# parents' histories, and a row kept on a direction the AND of the histories
+# of every row offered there.
+_IntRow = tuple[int, bool, int, int, int]
 _ZERO_LT = (0).__lt__   # c -> 0 < c, for counting positive entries in C
 
 
@@ -308,15 +323,17 @@ def check_feasibility(sys: LinearSystem, *,
     def offer(key: tuple[int, ...], row: _IntRow) -> None:
         held = table.get(key)
         if held is not None:
-            mine, theirs = row[0] * held[3], held[0] * row[3]
+            # the kept row takes the AND of both histories (see _IntRow)
+            mine, theirs, hist = row[0] * held[3], held[0] * row[3], held[4] & row[4]
             if mine < theirs or (mine == theirs and (held[1] or not row[1])):
-                return
+                row = held
+            row = (*row[:4], hist)
         table[key] = row
 
     for i, row in enumerate(sys.rows):
         (key, g), constant, strict = row.direction, row.primitive[1], row.relation == ">"
         if g:
-            offer(key, (constant, strict, i, g))
+            offer(key, (constant, strict, i, g, 1 << i))
         elif constant >= 0 if strict else constant > 0:
             return _self_checked(sys, Infeasible(_certificate(sys, parents, i)))
 
@@ -343,11 +360,15 @@ def check_feasibility(sys: LinearSystem, *,
         for key, _ in level:
             del table[key]
         neg = [(key, row) for key, row in level if key[k] < 0]
-        for p_key, (p_const, p_strict, p_node, p_g) in level:
+        most = len(levels) + 1   # Chernikov: at most s+1 input rows after s eliminations
+        for p_key, (p_const, p_strict, p_node, p_g, p_hist) in level:
             if p_key[k] < 0:
                 continue
             a = p_g * p_key[k]
-            for n_key, (n_const, n_strict, n_node, n_g) in neg:
+            for n_key, (n_const, n_strict, n_node, n_g, n_hist) in neg:
+                hist = p_hist | n_hist
+                if hist.bit_count() > most:
+                    continue
                 b = -n_g * n_key[k]
                 h = gcd(a, b)
                 ma, mb = b // h, a // h
@@ -360,7 +381,7 @@ def check_feasibility(sys: LinearSystem, *,
                 strict = p_strict or n_strict
                 if g:
                     offer(tuple(coeffs) if g == 1 else tuple(c // g for c in coeffs),
-                          (constant // d, strict, len(parents) - 1, g // d))
+                          (constant // d, strict, len(parents) - 1, g // d, hist))
                 elif constant >= 0 if strict else constant > 0:
                     return _self_checked(
                         sys, Infeasible(_certificate(sys, parents, len(parents) - 1)))
@@ -372,7 +393,7 @@ def check_feasibility(sys: LinearSystem, *,
     nums, den = [0] * len(variables), 1
     for k, level in reversed(levels):
         tightest: dict[bool, tuple[int, int, bool]] = {}  # below? -> (num, |q|, strict)
-        for key, (constant, strict, _, g) in level:
+        for key, (constant, strict, _, g, _) in level:
             # nums[k] is still 0, so x_k drops out of the sum
             rest = sum(c * x for c, x in zip(key, nums) if c and x)
             num, q = constant * den - g * rest, g * den * key[k]

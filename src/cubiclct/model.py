@@ -359,12 +359,14 @@ def _script_rows(items, variables, ctx) -> tuple[ScriptRow, ...]:
     return tuple(rows)
 
 
-def _unique(names, ctx: str, what: str) -> None:
-    """A located ParseError at the first name that ``names`` repeats."""
+def _unique(names, ctx: str, what: str = "") -> None:
+    """A located ParseError at the first name that ``names`` repeats: the
+    ``what`` key of entry i of ``ctx``, or the entry itself if ``what`` is empty."""
     seen = set()
     for i, name in enumerate(names):
         if name in seen:
-            raise ParseError(f"{ctx}[{i}].{what}: repeated {what} {name!r}")
+            where = f"{ctx}[{i}].{what}" if what else f"{ctx}[{i}]"
+            raise ParseError(f"{where}: repeated {what or 'entry'} {name!r}")
         seen.add(name)
 
 
@@ -429,6 +431,9 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
 
     equivalences = tuple(BoundaryDivisor(curve_terms(eq, f"equivalences[{i}]"))
                          for i, eq in enumerate(doc.get("equivalences", ())))
+    # one equivalence twice, its terms in any order, is a repeated entry
+    terms = (sorted((c, format_rat(m)) for m, c in eq.terms) for eq in equivalences)
+    _unique((" + ".join(f"{m}*{c}" for c, m in t) for t in terms), "equivalences")
 
     witness = None
     if "witness" in doc:
@@ -456,6 +461,7 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
                        for i, bspec in enumerate(sspec.get("blocks", ())))
         if not blocks:   # a script without leaves would verify vacuously
             raise ParseError("script: needs at least one block")
+        _unique((b.name for b in blocks), "script.blocks", "name")
         if "tau" not in variables:   # the closure row would read 0 >= tau_floor
             raise ParseError("script.variables: lack tau, the threshold reciprocal")
         script = ProofScript(

@@ -4,9 +4,9 @@ These deliberately avoid the code paths they check: the row-text oracle
 sums every term as a ``Fraction``, the determinant oracle
 is a permutation expansion (and the Sylvester test of positive definiteness
 is built on it), and the feasibility oracle decides mixed
-strict/non-strict systems by exact vertex enumeration over a boxed closed
+strict/non-strict systems by exact vertex enumeration over a bounded closed
 relaxation plus a centroid test, never by Fourier-Motzkin, and with its own
-integer Bareiss solve rather than ``qexact.solve_linear_system``.
+integer elimination rather than ``qexact.solve_linear_system``.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import itertools
 import re
 from fractions import Fraction as Rat
 from math import gcd
+from operator import mul
 
 from cubiclct.linsys import LinearSystem, Row, UnknownVariable
 from cubiclct.qexact import parse_rat
@@ -125,38 +126,76 @@ def _integer_row(coeffs, constant) -> tuple[list[int], int]:
     return [int(c * scale) for c in coeffs], int(constant * scale)
 
 
-def _solve(a: list[list[int]], b: list[int]) -> tuple[int, ...] | None:
-    """Fraction-free Bareiss solve of ``a x = b``: returns ``(X..., D)`` with
-    ``x = X / D``, ``D > 0`` and all entries coprime, or None when singular."""
-    n = len(a)
-    m = [row + [bi] for row, bi in zip(a, b)]
-    prev = 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot is None:
-            return None
-        m[k], m[pivot] = m[pivot], m[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    det = m[n - 1][n - 1]   # +-det(a); by Cramer, det * x is integral
-    x = [0] * n
-    for i in reversed(range(n)):
-        rest = sum(m[i][j] * x[j] for j in range(i + 1, n))
-        x[i] = (m[i][n] * det - rest) // m[i][i]
-    g = gcd(det, *x)
-    if det < 0:
-        g = -g
-    return tuple(v // g for v in x) + (det // g,)
+def _vertices(rows: list[tuple[list[int], int]], n: int) -> set[tuple[int, ...]]:
+    """The vertices ``(X..., D)`` of the bounded polyhedron ``a . x >= b``
+    over ``rows``: ``x = X / D`` with ``D > 0`` and all entries coprime.
+
+    A vertex is tight on n independent rows.  Drop one, and the other n-1
+    cut out a line through the vertex on which the polyhedron is a segment
+    with the vertex as an endpoint; conversely, each endpoint of such a
+    segment is tight on a further row that moves along the line, so it is a
+    vertex.  A depth-first walk over the row subsets holds the solutions of
+    a prefix as ``(P + span(dirs)) / D`` in integers; a row adds its equation
+    by solving for one direction and projecting the others onto its kernel,
+    and a row that no direction moves depends on the prefix, so that subtree
+    is skipped.  At one direction left, every row bounds the line.
+    """
+    vertices: set[tuple[int, ...]] = set()
+
+    def endpoints(point: list[int], den: int, d: list[int]) -> None:
+        # along x = (point + t d) / den, a row reads t * s >= r
+        lo = hi = None   # t >= lo[0]/lo[1] and t <= hi[0]/hi[1], denominators > 0
+        for a, b in rows:
+            s, r = sum(map(mul, a, d)), b * den - sum(map(mul, a, point))
+            if s > 0:
+                if lo is None or r * lo[1] > lo[0] * s:
+                    lo = (r, s)
+            elif s < 0:
+                if hi is None or r * hi[1] > hi[0] * s:
+                    hi = (-r, -s)
+            elif r > 0:
+                return
+            if lo and hi and lo[0] * hi[1] > hi[0] * lo[1]:
+                return
+        for t, q in (lo, hi):   # both exist: the polyhedron is bounded
+            moved = [p * q + t * v for p, v in zip(point, d)]
+            g = gcd(den * q, *moved)
+            vertices.add((*(p // g for p in moved), den * q // g))
+
+    def extend(start: int, point: list[int], den: int, dirs: list[list[int]]) -> None:
+        if len(dirs) == 1:
+            endpoints(point, den, dirs[0])
+            return
+        for i in range(start, len(rows) - len(dirs) + 2):
+            a, b = rows[i]
+            slopes = [sum(map(mul, a, d)) for d in dirs]
+            j = next((j for j, s in enumerate(slopes) if s), None)
+            if j is None:
+                continue
+            s, d = slopes[j], dirs[j]
+            if s < 0:
+                s, d = -s, [-v for v in d]
+            # t = (b den - a . point) / s on direction d meets a . x = b
+            r = b * den - sum(map(mul, a, point))
+            moved = [p * s + r * v for p, v in zip(point, d)]
+            g = gcd(den * s, *moved)
+            rest = []
+            for t, e in zip(slopes, dirs):
+                if e is not dirs[j]:
+                    e = [s * x - t * y for x, y in zip(e, d)]
+                    h = gcd(*e)
+                    rest.append([x // h for x in e])
+            extend(i + 1, [p // g for p in moved], den * s // g, rest)
+
+    extend(0, [0] * n, 1, [[int(i == j) for j in range(n)] for i in range(n)])
+    return vertices
 
 
 def feasible_by_vertex_enumeration(system: LinearSystem) -> bool:
     """Exact decision for a mixed strict/non-strict rational system.
 
-    Enumerate basic points of the boxed closed relaxation (all n-subsets of
-    rows including box rows), keep the feasible ones, and test every strict
+    Enumerate the vertices of the closed relaxation cut down to a simplex
+    that holds the box ``|x_i| <= m`` of ``_box_bound``, and test every strict
     row at their centroid: the mixed system is solvable iff the centroid
     satisfies it, because any strict inequality satisfied somewhere on a
     polytope is satisfied strictly at some vertex.  Rows are scaled to
@@ -170,25 +209,11 @@ def feasible_by_vertex_enumeration(system: LinearSystem) -> bool:
 
     m = _box_bound(system)
     rows = [_integer_row(row.coeffs, row.constant) for row in system.rows]
-    for i in range(n):
-        rows.append(([1 if j == i else 0 for j in range(n)], -m))
-        rows.append(([-1 if j == i else 0 for j in range(n)], -m))
+    # x_i <= m for every i and sum(x) >= -n*m: a simplex around the box |x_i| <= m
+    rows += [([-int(i == j) for j in range(n)], -m) for i in range(n)]
+    rows.append(([1] * n, -n * m))
 
-    def closed_ok(point: tuple[int, ...]) -> bool:
-        *x, d = point
-        return all(sum(c * v for c, v in zip(coeffs, x)) >= const * d
-                   for coeffs, const in rows)
-
-    candidates: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for subset in itertools.combinations(range(len(rows)), n):
-        point = _solve([rows[i][0] for i in subset], [rows[i][1] for i in subset])
-        if point is None or point in seen:
-            continue
-        seen.add(point)
-        if closed_ok(point):
-            candidates.append(point)
-
+    candidates = _vertices(rows, n)
     if not candidates:
         return False
     # centroid = (sum of X_p / D_p) / k = numerators / (k * common)

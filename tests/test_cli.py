@@ -316,6 +316,24 @@ def test_kernel_self_check_failure_exits_one(capsys, monkeypatch):
     assert "self-check" in err
 
 
+def test_leaf_refuted_without_the_closure_row_is_not_verified(capsys, tmp_path):
+    # "0 > 1" refutes every leaf on its own, so no leaf bounds tau: each
+    # certificate gives the closure row tau >= 3 weight 0
+    row = '    - {row: "2*a2 - a1 >= 0", note: "E2.Dbar >= 0"}\n'
+    _fixture_copy(tmp_path, "a2a2", row, row + '    - "0 > 1"\n')
+    code, out, _ = run(capsys, "--fixtures", str(tmp_path), "case", "A2+A2")
+    assert code == 1
+    leaves = [line for line in out.splitlines() if line.startswith("  [")]
+    assert leaves == [f"  [VACUOUS]    {name}  infeasible without tau >= 3" for name in
+                      ("Q in E1 interior", "Q = E1 meet E2", "Q in E2 interior")]
+    assert out.endswith("verified: False\n")
+    code, payload, _ = run(capsys, "--fixtures", str(tmp_path), "case", "A2+A2", "--json")
+    assert code == 1
+    data = json.loads(payload)
+    assert data["verified"] is False
+    assert all(leaf["certificate"]["multipliers"][0] == "0" for leaf in data["lower"]["leaves"])
+
+
 def test_duplicate_profile_is_parse_error(capsys, tmp_path):
     # two case fixtures of one profile cannot both be named by it
     _fixture_copy(tmp_path, "a5")

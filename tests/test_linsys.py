@@ -175,10 +175,47 @@ def test_direction_dedup_across_levels_keeps_the_new_row(carried, made):
     assert carried_m == 0 and all(m > 0 for m in support)
 
 
-def _random_system(rng, planted=None):
-    n = rng.randint(1, 4)
+def test_dedup_keeps_the_and_of_both_histories():
+    # Pruning reads each row's history of input rows.  Here a row kept over
+    # a looser one on its direction must take the AND of both histories: with
+    # the kept row's own history alone, a pair this certificate needs is
+    # skipped, and the witness built instead violates the first row
+    # (SelfCheckFailed).
+    system = sys_of(("x0", "x1"), "x0 + 2*x1 >= -3", "2*x0 + x1 >= 2", "-2*x0 + x1 >= 0",
+                    "-x0 - x1 > 1", "2*x0 - 3*x1 > 2", "3*x0 + 2*x1 >= 2",
+                    "-2*x0 - 3*x1 >= 1")
+    outcome = check_feasibility(system)
+    assert isinstance(outcome, Infeasible)
+    assert outcome.certificate.multipliers == (0, Rat(1, 12), Rat(1, 12), Rat(1, 2), 0,
+                                               Rat(1, 6), 0)
+
+
+def test_chernikov_rule_skips_pairs_before_combining_them(monkeypatch):
+    # An infeasible dense 4-variable system: the kernel makes 44 nodes (9
+    # input rows and 35 combinations) before it reaches 0 > c.  Without the
+    # rule it made 142.
+    nodes = []
+    walk = linsys._certificate
+
+    def recording(system, parents, node):
+        nodes.append(len(parents))
+        return walk(system, parents, node)
+
+    monkeypatch.setattr(linsys, "_certificate", recording)
+    system = sys_of(("x0", "x1", "x2", "x3"),
+                    "-x0 + 3*x1 + x2 - 3*x3 >= -5", "-x0 - 2*x1 + 2*x2 + 3*x3 >= 2",
+                    "4*x0 + 2*x1 - x2 + 3*x3 > -1", "3*x0 + 2*x1 + 3*x2 - 2*x3 >= 2",
+                    "x1 + x2 + 3*x3 > 3", "2*x0 - x1 - 4*x2 - x3 >= -1",
+                    "-2*x0 + 3*x1 + 4*x2 - x3 > -3", "-2*x0 + 2*x1 + 4*x2 - 2*x3 > 5",
+                    "-3*x0 - 2*x1 + 3*x2 + 3*x3 > -3")
+    assert isinstance(check_feasibility(system), Infeasible)
+    assert nodes == [44]
+
+
+def _random_system(rng, planted=None, n=None, nrows=(1, 10)):
+    n = n or rng.randint(1, 4)
     variables = tuple(f"x{i}" for i in range(n))
-    nrows = rng.randint(1, 10)
+    nrows = rng.randint(*nrows)
     rows = []
     point = [Rat(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] \
         if planted else None
@@ -217,6 +254,25 @@ def test_oracle_agreement_on_random_systems():
         assert fm == oracle, system.pretty()
         feasible_count += fm
     assert 0 < feasible_count < 100   # the sample exercises both verdicts
+
+
+def test_oracle_agreement_on_five_variable_systems():
+    # 5 variables and 8-13 rows: Chernikov's rule skips pairs in 33 of these
+    # 40 systems, where _random_system's at most 4 variables seldom let it.
+    rng = random.Random(2626)
+    feasible_count = 0
+    for _ in range(40):
+        system, _ = _random_system(rng, n=5, nrows=(8, 13))
+        outcome = check_feasibility(system)
+        if isinstance(outcome, Feasible):
+            witness = [outcome.witness[v] for v in system.variables]
+            assert all(row.evaluate(witness) for row in system.rows)
+            feasible_count += 1
+        else:
+            assert replay_certificate(system, outcome.certificate)
+        assert isinstance(outcome, Feasible) == feasible_by_vertex_enumeration(system), \
+            system.pretty()
+    assert 0 < feasible_count < 40
 
 
 def test_verdict_independent_of_elimination_order():

@@ -352,9 +352,19 @@ def test_malformed_script_is_located_parse_error(old, new, error, message):
     ("a3", "- name: one end line off the support at each end",
      "- name: middle line off the support",
      "script.blocks[0].alternatives[1].name: repeated name 'middle line off the support'"),
-], ids=["curve id", "branch name", "alternative name"])
+    ("e6", "  blocks:\n", "  blocks:\n    - {name: arithmetic exclusions away from the "
+     "singular point, branches: [{name: other, rows: []}]}\n",
+     "script.blocks[1].name: repeated name 'arithmetic exclusions away from the singular point'"),
+    ("a1", "  blocks:\n", "  blocks:\n    - branches: [{name: p, rows: []}]\n"
+     "    - branches: [{name: q, rows: []}]\n", "script.blocks[1].name: repeated name ''"),
+    ("a3", '  - [["1", L1], ["1", L2], ["1", L3]]\n',
+     '  - [["1", L1], ["1", L2], ["1", L3]]\n  - [["1", L3], ["1", L1], ["1", L2]]\n',
+     "equivalences[1]: repeated entry '1*L1 + 1*L2 + 1*L3'"),
+], ids=["curve id", "branch name", "alternative name", "block name", "unnamed block",
+        "equivalence"])
 def test_repeated_id_or_leaf_name_is_located_parse_error(name, old, new, message):
-    # a repeated curve once loaded and verified; a repeated name gave two leaves of one name
+    # a repeated curve once loaded and verified; a repeated name gave two leaves of one
+    # name, and a block listed twice verified its leaves twice under two names
     text = Path(str(fixture_dir() / f"{name}.yaml")).read_text()
     assert text.count(old) == 1
     with pytest.raises(ParseError, match=f"^{re.escape(f'{name}: {message}')}$"):
