@@ -3,8 +3,9 @@
 Subcommands: ``table``, ``case``, ``pullback``, ``certify``, ``replay``,
 ``equivariant``, ``fiberwise``.  Exit codes: 0 all verified, 1 a
 verification failed (the feasible witness point is printed, a leaf refuted
-without its closure row is named, or the FM kernel's own witness or
-certificate check failed), 2 input or usage error.
+without its closure row is named, a verified omega differs from its
+classification clause, or the FM kernel's own witness or certificate check
+failed), 2 input or usage error.
 All rationals print as ``p/q``, never as decimals.
 """
 
@@ -168,11 +169,7 @@ def cmd_table(args) -> int:
     items = sorted(fixtures.items())
     _check_valid(fixture for _, fixture in items)
     results = {key: engine.compute_case_threshold(fixture) for key, fixture in items}
-    try:
-        table = engine.assemble_table(results, ADMISSIBLE_PROFILES)
-    except engine.Inconsistent as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+    table = engine.assemble_table(results, ADMISSIBLE_PROFILES)
     elapsed_ms = int((time.monotonic() - t0) * 1000)
 
     if args.json:
@@ -204,6 +201,7 @@ def cmd_case(args) -> int:
               f"`cubiclct {kind} {fixture.name}`", file=sys.stderr)
         return EXIT_USAGE
     result = engine.compute_case_threshold(fixture)
+    engine.check_clause(result)
     if args.json:
         payload = {"command": f"case {args.profile}", **_case_json(result)}
         print(json.dumps(payload, indent=2))
@@ -215,7 +213,7 @@ def cmd_case(args) -> int:
 def cmd_pullback(args) -> int:
     fixture = _open_fixture(args.fixture, fixture_dir(args.fixtures))
     try:
-        curve = fixture.model.curve(args.curve)
+        curve = fixture.model.curve_map[args.curve]
         ade = fixture.model.ade(args.point)
     except KeyError as exc:
         raise ParseError(f"{fixture.name}: no curve or point {exc}") from exc
@@ -365,6 +363,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SelfCheckFailed as exc:
         print(f"verification failed: self-check: {exc}", file=sys.stderr)
+        return EXIT_FAILED
+    except engine.Inconsistent as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_FAILED
     except InvalidFixture:
         return EXIT_USAGE

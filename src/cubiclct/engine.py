@@ -17,7 +17,8 @@ system is infeasible, each with a replayable Farkas certificate that gives
 the closure row ``tau >= 1/omega`` positive weight.  The
 non-linear localization steps (connectedness, degree bounds, convexity
 choices) are recorded as tagged assumptions; where their arithmetic core
-is linear it is checked as a small exclusion system.
+is linear it is checked as a small exclusion system, under the same rule:
+the closure row is row 0 of every system.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from fractions import Fraction as Rat
 from typing import NamedTuple
 
 from cubiclct.lattice import pullback_coefficients, tower_log_discrepancy
-from cubiclct.linsys import (Feasible, Infeasible, InfeasibilityCertificate,
-                             LinearSystem, Row, check_feasibility)
+from cubiclct.linsys import (Infeasible, InfeasibilityCertificate, LinearSystem, Row,
+                             check_feasibility)
 from cubiclct.model import (Branch, CaseFixture, ProofScript, ScriptRow,
                             SingularityProfile, SurfaceModel, Witness)
 from cubiclct.qexact import format_rat
@@ -53,7 +54,7 @@ class UpperBound(NamedTuple):
 
 def witness_lct_upper(model: SurfaceModel, witness: Witness) -> UpperBound:
     """Exact threshold of the witness pair; an upper bound for lct(S)."""
-    if witness.tangencies and witness.tower is None:
+    if witness.tangencies and not witness.tower:
         raise NotSNC("declared tangencies need a blowup tower: "
                      + ", ".join(witness.tangencies))
     curve_map = model.curve_map
@@ -79,19 +80,9 @@ def witness_lct_upper(model: SurfaceModel, witness: Witness) -> UpperBound:
                 # crepant: every ADE exceptional has discrepancy 0
                 ratios.append((key, Rat(1) / ords[i]))
 
-    if witness.tower is not None:
+    if witness.tower:
         strict_mults = {cid: witness.boundary.multiplicity(cid) for cid in curve_map}
-        point_of = dict(witness.tower_points)
-        # resolve bare node names against the step's own point
-        steps = []
-        for step in witness.tower.steps:
-            pid = point_of[step.name]
-            excs = tuple(e if ":" in e or e in point_of else f"{pid}:{e}"
-                         for e in step.exceptionals)
-            steps.append(step._replace(exceptionals=excs))
-        results = tower_log_discrepancy(witness.tower._replace(steps=tuple(steps)),
-                                        strict_mults, ord_by_node)
-        for name, a_f, ord_f in results:
+        for name, a_f, ord_f in tower_log_discrepancy(witness.tower, strict_mults, ord_by_node):
             if ord_f > 0:
                 ratios.append((f"tower:{name}", (1 + a_f) / ord_f))
 
@@ -121,7 +112,7 @@ class LeafResult(NamedTuple):
 class AssumptionResult(NamedTuple):
     tag: str
     note: str
-    checked: bool | None   # None: purely cited; True/False: exclusion system verdict
+    checked: bool | None   # None: purely cited; else whether its exclusion system holds
 
 
 class LowerBoundResult(NamedTuple):
@@ -131,6 +122,7 @@ class LowerBoundResult(NamedTuple):
 
 
 def _tau_row(script: ProofScript) -> ScriptRow:
+    """The closure row ``tau >= 1/omega``: row 0 of every lower-bound system."""
     text = f"tau >= {format_rat(script.tau_floor)}"
     coeffs = tuple(Rat(1) if v == "tau" else Rat(0) for v in script.variables)
     return ScriptRow(text, Row(coeffs, script.tau_floor, ">=", "closure tau >= 1/omega"),
@@ -157,41 +149,36 @@ def materialize_leaves(fixture: CaseFixture) -> list[Branch]:
     return leaves
 
 
-def _leaf_system(script: ProofScript, leaf: Branch) -> LinearSystem:
-    return LinearSystem(script.variables, tuple(r.row for r in leaf.rows))
+def _solve(script: ProofScript, name: str, rows: tuple[ScriptRow, ...]) -> LeafResult:
+    """Decide one lower-bound system, ``rows`` with the closure row first."""
+    system = LinearSystem(script.variables, tuple(r.row for r in rows))
+    outcome = check_feasibility(system)
+    if isinstance(outcome, Infeasible):
+        return LeafResult(name, system, outcome.certificate, None)
+    return LeafResult(name, system, None, outcome.witness)
+
+
+def _holds(result: LeafResult) -> bool:
+    """Infeasible, and not ``vacuous``: the system's refutation bounds tau."""
+    return result.certificate is not None and not result.vacuous
 
 
 def verify_lower_bound_script(fixture: CaseFixture) -> LowerBoundResult:
-    """Send every leaf to the feasibility checker; verified iff all infeasible
-    and none ``vacuous``.
+    """Send every leaf, and every assumption's exclusion system, to the
+    feasibility checker; verified iff each ``_holds``.
 
     A feasible leaf is reported with its witness point, which is the most
     useful debugging output a broken transcription can produce.
     """
     script = fixture.script
-    leaves = materialize_leaves(fixture)
-    results = []
-    for leaf in leaves:
-        system = _leaf_system(script, leaf)
-        outcome = check_feasibility(system)
-        if isinstance(outcome, Infeasible):
-            results.append(LeafResult(leaf.name, system, outcome.certificate, None))
-        else:
-            results.append(LeafResult(leaf.name, system, None, outcome.witness))
-    verified = all(r.certificate is not None and not r.vacuous for r in results)
-
-    assumptions = []
-    for assumption in script.assumptions:
-        checked: bool | None = None
-        if assumption.exclusion_rows:
-            tau = _tau_row(script)
-            system = LinearSystem(script.variables,
-                                  (tau.row,) + tuple(r.row for r in assumption.exclusion_rows))
-            checked = isinstance(check_feasibility(system), Infeasible)
-            if not checked:
-                verified = False
-        assumptions.append(AssumptionResult(assumption.tag, assumption.note, checked))
-    return LowerBoundResult(verified, tuple(results), tuple(assumptions))
+    leaves = tuple(_solve(script, leaf.name, leaf.rows) for leaf in materialize_leaves(fixture))
+    tau = _tau_row(script)
+    assumptions = tuple(
+        AssumptionResult(a.tag, a.note, _holds(_solve(script, a.tag, (tau,) + a.exclusion_rows))
+                         if a.exclusion_rows else None)
+        for a in script.assumptions)
+    verified = all(map(_holds, leaves)) and all(a.checked is not False for a in assumptions)
+    return LowerBoundResult(verified, leaves, assumptions)
 
 
 # --- case results and the table --------------------------------------------------
@@ -251,6 +238,17 @@ class ThresholdTable(NamedTuple):
         return all(r.status != "FAILED" for r in self.rows)
 
 
+def check_clause(result: CaseResult) -> tuple[str, Rat]:
+    """The classification clause of ``result``'s profile; ``Inconsistent`` if
+    the case is verified with another omega."""
+    clause, omega = classify_profile(result.profile)
+    if result.verified and result.omega_upper != omega:
+        raise Inconsistent(
+            f"{result.profile}: verified omega {format_rat(result.omega_upper)} "
+            f"differs from clause value {format_rat(omega)}")
+    return clause, omega
+
+
 def assemble_table(results: dict[str, CaseResult],
                    admissible: list[str]) -> ThresholdTable:
     """Classification table with per-row verification status.
@@ -259,16 +257,12 @@ def assemble_table(results: dict[str, CaseResult],
     """
     rows = []
     for key in admissible:
-        profile = SingularityProfile.of(key.split("+"))
-        clause, omega = classify_profile(profile)
         if key in results:
             result = results[key]
-            if result.verified and result.omega_upper != omega:
-                raise Inconsistent(
-                    f"{key}: verified omega {format_rat(result.omega_upper)} "
-                    f"differs from clause value {format_rat(omega)}")
+            clause, omega = check_clause(result)
             status = "verified" if result.verified else "FAILED"
         else:
+            clause, omega = classify_profile(SingularityProfile.of(key.split("+")))
             status = "paper-asserted"
         rows.append(TableRow(key, omega, clause, status))
     return ThresholdTable(TABLE_CLAUSES, tuple(rows))
@@ -331,9 +325,8 @@ def mutation_audit(fixture: CaseFixture) -> list[MutationRecord]:
     script = fixture.script
     audited = []   # (leaf, ids of its rows, supports of its known certificates)
     for leaf in materialize_leaves(fixture):
-        outcome = check_feasibility(_leaf_system(script, leaf))
-        supports = ([_support(leaf.rows, outcome.certificate)]
-                    if isinstance(outcome, Infeasible) else [])
+        certificate = _solve(script, leaf.name, leaf.rows).certificate
+        supports = [_support(leaf.rows, certificate)] if certificate is not None else []
         audited.append((leaf, {id(r) for r in leaf.rows}, supports))
     records = []
 
@@ -343,10 +336,10 @@ def mutation_audit(fixture: CaseFixture) -> list[MutationRecord]:
             if t not in ids or not all(t in support for support in supports):
                 continue
             kept = tuple(r for r in leaf.rows if r is not target)
-            outcome = check_feasibility(LinearSystem(script.variables, tuple(r.row for r in kept)))
-            if isinstance(outcome, Feasible):
+            certificate = _solve(script, leaf.name, kept).certificate
+            if certificate is None:
                 return True
-            supports.append(_support(kept, outcome.certificate))
+            supports.append(_support(kept, certificate))
         return False
 
     seen: set[int] = set()
@@ -357,8 +350,8 @@ def mutation_audit(fixture: CaseFixture) -> list[MutationRecord]:
         records.append(MutationRecord(location, row.text, row.redundant, True,
                                       flips_without(row)))
     for leaf, _, _ in audited:
-        for row in leaf.rows:
-            if id(row) in seen or row.note == "closure tau >= 1/omega":
+        for row in leaf.rows[1:]:   # row 0, the closure row, is never deleted
+            if id(row) in seen:
                 continue
             seen.add(id(row))
             records.append(MutationRecord(f"generated:{leaf.name}", row.text,

@@ -145,17 +145,13 @@ class TowerStep(NamedTuple):
 
     name: str
     strict_curves: tuple[tuple[str, int], ...]  # (curve id, multiplicity at center)
-    exceptionals: tuple[str, ...]               # ADE node ids or earlier step names
+    exceptionals: tuple[str, ...]               # ``<point>:<node>`` ids or earlier step names
 
 
-class BlowupTower(NamedTuple):
-    steps: tuple[TowerStep, ...]
-
-
-def tower_log_discrepancy(tower: BlowupTower,
+def tower_log_discrepancy(tower: tuple[TowerStep, ...],
                           strict_mults: dict[str, Rat],
                           base_ord: dict[str, Rat]) -> list[tuple[str, Rat, Rat]]:
-    """Log-discrepancy bookkeeping along a tower of smooth blowups.
+    """Log-discrepancy bookkeeping along a tower of smooth blowups, in order.
 
     ``strict_mults`` maps boundary curve ids to their multiplicity in the
     boundary divisor; ``base_ord`` maps initial exceptional ids to the
@@ -169,7 +165,7 @@ def tower_log_discrepancy(tower: BlowupTower,
     disc: dict[str, Rat] = {name: Rat(0) for name in base_ord}
     ords: dict[str, Rat] = dict(base_ord)
     out = []
-    for step in tower.steps:
+    for step in tower:
         a_f = Rat(1)
         ord_f = Rat(0)
         for curve, mult in step.strict_curves:

@@ -299,15 +299,11 @@ _IntRow = tuple[int, bool, int, int, int]
 _ZERO_LT = (0).__lt__   # c -> 0 < c, for counting positive entries in C
 
 
-def check_feasibility(sys: LinearSystem, *,
-                      order: list[str] | None = None) -> Feasible | Infeasible:
+def check_feasibility(sys: LinearSystem) -> Feasible | Infeasible:
     """Decide the system exactly; Infeasible carries a replayable certificate.
 
-    ``order`` pins the elimination order (used by the order-independence
-    tests): names not in the system are ignored, and once the pinned names
-    run out the next variable is taken by position.  By default the
-    variable minimizing the pos*neg fan-out goes first, ties broken by
-    position.
+    Each level eliminates the variable minimizing the pos*neg fan-out, ties
+    broken by position.
     """
     variables = list(sys.variables)
     # Input row i, as its Row.primitive, is kernel node i.  A derived node
@@ -340,20 +336,16 @@ def check_feasibility(sys: LinearSystem, *,
     # (variable index, rows mentioning it at elimination time) for the witness
     levels: list[tuple[int, list[tuple[tuple[int, ...], _IntRow]]]] = []
     remaining = list(range(len(variables)))
-    pinned = [variables.index(v) for v in order or () if v in variables]
     while remaining and table:  # variables left once the table empties stay 0
-        if order:
-            k = next((j for j in pinned if j in remaining), remaining[0])
-        else:
-            # one sweep of the table's columns: the least pos*neg fan-out,
-            # ties broken by position (only a smaller fan-out replaces ``k``)
-            columns, least = list(zip(*table)), None
-            for j in remaining:
-                column = columns[j]
-                plus = sum(map(_ZERO_LT, column))
-                fanout = plus * (len(column) - plus - column.count(0))
-                if least is None or fanout < least:
-                    k, least = j, fanout
+        # one sweep of the table's columns: the least pos*neg fan-out, ties
+        # broken by position (only a smaller fan-out replaces ``k``)
+        columns, least = list(zip(*table)), None
+        for j in remaining:
+            column = columns[j]
+            plus = sum(map(_ZERO_LT, column))
+            fanout = plus * (len(column) - plus - column.count(0))
+            if least is None or fanout < least:
+                k, least = j, fanout
         remaining.remove(k)
         level = [(key, row) for key, row in table.items() if key[k]]
         levels.append((k, level))

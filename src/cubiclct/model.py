@@ -25,8 +25,7 @@ from typing import NamedTuple
 
 import yaml
 
-from cubiclct.lattice import (AdeType, BlowupTower, TowerStep, exceptional_nef_rows,
-                              inverse_cartan)
+from cubiclct.lattice import AdeType, TowerStep, exceptional_nef_rows, inverse_cartan
 from cubiclct.linsys import Row, parse_row
 from cubiclct.qexact import format_rat
 from cubiclct.schema import FIXTURE, ParseError, walk
@@ -121,12 +120,6 @@ class SurfaceModel(NamedTuple):
                 return ade
         raise KeyError(point)
 
-    def curve(self, cid: str) -> NamedCurve:
-        for c in self.curves:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
-
     @property
     def curve_map(self) -> dict[str, NamedCurve]:
         return {c.id: c for c in self.curves}
@@ -134,8 +127,7 @@ class SurfaceModel(NamedTuple):
 
 class Witness(NamedTuple):
     boundary: BoundaryDivisor
-    tower: BlowupTower | None = None
-    tower_points: tuple[tuple[str, str], ...] = ()  # step name -> point id
+    tower: tuple[TowerStep, ...] = ()   # () for no tower
     tangencies: tuple[str, ...] = ()
 
 
@@ -438,18 +430,21 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
     witness = None
     if "witness" in doc:
         wspec, steps = doc["witness"], []
-        for j, step in enumerate(wspec.get("tower", ())):
+        tower = wspec.get("tower", ())
+        _unique((step["name"] for step in tower), "witness.tower", "name")
+        step_names = {step["name"] for step in tower}
+        for j, step in enumerate(tower):
             ctx = f"witness.tower[{j}]"
-            _declared(points, step["point"], "point", f"{ctx}.point")
+            pid = _declared(points, step["point"], "point", f"{ctx}.point")
+            # a bare node name is the node of the step's own point
+            exceptionals = (t["exceptional"] for t in step["through"] if "exceptional" in t)
             steps.append(TowerStep(
                 step["name"],
                 tuple((_declared(curve_ids, t["curve"], "curve", f"{ctx}.through[{k}].curve"),
                        t.get("mult", 1)) for k, t in enumerate(step["through"]) if "curve" in t),
-                tuple(t["exceptional"] for t in step["through"] if "exceptional" in t)))
+                tuple(e if ":" in e or e in step_names else f"{pid}:{e}" for e in exceptionals)))
         witness = Witness(BoundaryDivisor(curve_terms(wspec["divisor"], "witness.divisor")),
-                          BlowupTower(tuple(steps)) if steps else None,
-                          tuple((step["name"], step["point"]) for step in wspec.get("tower", ())),
-                          wspec.get("tangencies", ()))
+                          tuple(steps), wspec.get("tangencies", ()))
 
     script = None
     if "script" in doc:
@@ -514,18 +509,16 @@ def _pullback_cache(model: SurfaceModel):
     return cache
 
 
-def intersection_number(model: SurfaceModel, a: NamedCurve, b: NamedCurve,
-                        cache=None) -> Rat:
+def intersection_number(model: SurfaceModel, a: NamedCurve, b: NamedCurve, cache) -> Rat:
     """Exact ``a . b`` on the singular surface from resolution bookkeeping.
 
     ``a . b = (strict a . strict b) + sum over points of inc_a . C^-1 . inc_b``;
     strict self-intersections are -1 for lines and 0 for conics (adjunction
     on the smooth resolution: both are smooth rational curves with
     ``-K . curve`` equal to the degree).  Each point's term is summed in
-    integers over its type's denominator.
+    integers over its type's denominator, from ``cache``, the model's
+    ``_pullback_cache``.
     """
-    if cache is None:
-        cache = _pullback_cache(model)
     if a.id == b.id:
         strict = Rat(-1) if a.kind == "line" else Rat(0)
     else:
@@ -551,6 +544,11 @@ def validate_fixture(fixture: CaseFixture) -> list[str]:
 
     if model.profile.key not in ADMISSIBLE_PROFILES:
         findings.append(f"profile {model.profile} not in the admissible list")
+    # a fiberwise fixture names its profile but declares no points
+    labels = [ade.label for _, ade in model.points]
+    if fixture.fiberwise is None and sorted(labels) != sorted(model.profile.entries):
+        findings.append(f"points {profile_key(labels) or '(none)'} do not realise "
+                        f"profile {model.profile}")
 
     curve_map = model.curve_map
     for c in model.curves:

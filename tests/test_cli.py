@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import re
+from fractions import Fraction as Rat
 from pathlib import Path
 
 import pytest
@@ -334,6 +335,18 @@ def test_leaf_refuted_without_the_closure_row_is_not_verified(capsys, tmp_path):
     assert all(leaf["certificate"]["multipliers"][0] == "0" for leaf in data["lower"]["leaves"])
 
 
+def test_exclusion_refuted_without_the_closure_row_fails(capsys, tmp_path):
+    # "0 > 1" refutes the degree-bound exclusion system on its own, so the
+    # closure row tau >= 3 gets weight 0 and the assumption is not checked
+    _fixture_copy(tmp_path, "a2a2", 'exclusion_rows: ["m > tau", "3 >= m"]',
+                  'exclusion_rows: ["0 > 1"]')
+    code, out, _ = run(capsys, "--fixtures", str(tmp_path), "case", "A2+A2")
+    assert code == 1
+    assert "  assumption (degree-bound) [FAILED]: " in out
+    assert all(not line.startswith("  [VACUOUS]") for line in out.splitlines())
+    assert out.endswith("verified: False\n")
+
+
 def test_duplicate_profile_is_parse_error(capsys, tmp_path):
     # two case fixtures of one profile cannot both be named by it
     _fixture_copy(tmp_path, "a5")
@@ -405,13 +418,44 @@ def test_fiberwise_failed_identity_exits_one(capsys, tmp_path):
     assert data["verified"] is False
 
 
-def test_inconsistent_table_exits_one(capsys, tmp_path):
-    # a verified omega of 2/3 filed under A2, whose clause gives 1/2
-    _fixture_copy(tmp_path, "a1", "profile: [A1]", "profile: [A2]", as_name="a2")
-    code, out, err = run(capsys, "--fixtures", str(tmp_path), "table")
+def _patch_a5_clause(monkeypatch):
+    """Put a clause ``Sigma = {A5}`` with omega 1/3 before every other clause."""
+    from cubiclct import engine
+    monkeypatch.setattr(engine, "_CLAUSES", (
+        ("Sigma = {A5}", Rat(1, 3), lambda p: p.key == "A5"),) + engine._CLAUSES)
+
+
+def test_inconsistent_table_exits_one(capsys, monkeypatch):
+    # A5 verifies omega 1/4; the patched clause gives 1/3
+    _patch_a5_clause(monkeypatch)
+    code, out, err = run(capsys, "table")
     assert code == 1
     assert out == ""
-    assert "differs from clause value 1/2" in err
+    assert "A5: verified omega 1/4 differs from clause value 1/3" in err
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_case_runs_the_clause_check(capsys, monkeypatch, json_flag):
+    _patch_a5_clause(monkeypatch)
+    code, out, err = run(capsys, "case", "A5", *json_flag)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "verification failed: A5: verified omega 1/4 differs from clause value 1/3"]
+
+
+@pytest.mark.parametrize("name, old, new, command", [
+    # a2a1's points stay A2 and A1; the clause for A2+A2 is 1/3, not 1/2
+    ("a2a1", "profile: [A2, A1]", "profile: [A2, A2]", ("case", "a2a1")),
+    # a1's one A1 point, with omega 2/3, filed under A2
+    ("a1", "profile: [A1]", "profile: [A2]", ("table",)),
+], ids=["case", "table"])
+def test_points_must_realise_the_profile(capsys, tmp_path, name, old, new, command):
+    as_name = "a2" if command == ("table",) else None
+    _fixture_copy(tmp_path, name, old, new, as_name=as_name)
+    code, out, err = run(capsys, "--fixtures", str(tmp_path), *command)
+    assert (code, out) == (2, "")
+    profile = new.split("[")[1].rstrip("]").replace(", ", "+")
+    assert f"do not realise profile {profile}" in err
 
 
 def test_case_a5_json(capsys):

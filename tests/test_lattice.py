@@ -4,7 +4,7 @@ from fractions import Fraction as Rat
 import pytest
 
 from cubiclct import qexact
-from cubiclct.lattice import (AdeType, BlowupTower, MalformedTower, TowerStep,
+from cubiclct.lattice import (AdeType, MalformedTower, TowerStep,
                               UnsupportedType, cartan_matrix, exceptional_nef_rows,
                               inverse_cartan, pullback_coefficients, tower_log_discrepancy)
 from cubiclct.qexact import solve_linear_system
@@ -120,20 +120,20 @@ def test_e6_unique_line_node():
 
 
 def test_tower_eckardt_point():
-    tower = BlowupTower((TowerStep("F", (("L1", 1), ("L2", 1), ("L3", 1)), ()),))
+    tower = (TowerStep("F", (("L1", 1), ("L2", 1), ("L3", 1)), ()),)
     [(name, a, o)] = tower_log_discrepancy(
         tower, {"L1": Rat(1), "L2": Rat(1), "L3": Rat(1)}, {})
     assert (name, a, o) == ("F", Rat(1), Rat(3))
 
 
 def test_tower_point_off_boundary():
-    tower = BlowupTower((TowerStep("F", (), ()),))
+    tower = (TowerStep("F", (), ()),)
     [(_, a, o)] = tower_log_discrepancy(tower, {}, {})
     assert (a, o) == (Rat(1), Rat(0))
 
 
 def test_tower_on_two_exceptionals():
-    tower = BlowupTower((TowerStep("F", (), ("E1", "E2")),))
+    tower = (TowerStep("F", (), ("E1", "E2")),)
     [(_, a, o)] = tower_log_discrepancy(
         tower, {}, {"E1": Rat(1), "E2": Rat(4, 3)})
     assert (a, o) == (Rat(1), Rat(7, 3))
@@ -141,11 +141,11 @@ def test_tower_on_two_exceptionals():
 
 def test_tower_empty_boundary_property():
     # with an empty boundary every order vanishes and a_F >= 1 throughout
-    tower = BlowupTower((
+    tower = (
         TowerStep("F1", (), ("E1",)),
         TowerStep("F2", (), ("F1",)),
         TowerStep("F3", (), ("F1", "F2")),
-    ))
+    )
     out = tower_log_discrepancy(tower, {}, {"E1": Rat(0)})
     assert [o for _, _, o in out] == [Rat(0)] * 3
     assert all(a >= 1 for _, a, _ in out)
@@ -153,10 +153,10 @@ def test_tower_empty_boundary_property():
 
 
 def test_tower_unknown_reference():
-    tower = BlowupTower((TowerStep("F", (), ("NOPE",)),))
+    tower = (TowerStep("F", (), ("NOPE",)),)
     with pytest.raises(MalformedTower):
         tower_log_discrepancy(tower, {}, {"E1": Rat(0)})
-    tower = BlowupTower((TowerStep("F", (("BAD", 1),), ()),))
+    tower = (TowerStep("F", (("BAD", 1),), ()),)
     with pytest.raises(MalformedTower):
         tower_log_discrepancy(tower, {}, {})
 

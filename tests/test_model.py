@@ -9,8 +9,8 @@ from cubiclct import model
 from cubiclct.cli import case_fixtures, fixture_dir, load_all_fixtures
 from cubiclct.engine import witness_lct_upper
 from cubiclct.model import (ADMISSIBLE_PROFILES, DanglingReference, ParseError,
-                            SingularityProfile, intersection_number, load_fixture,
-                            profile_key, validate_fixture)
+                            SingularityProfile, _pullback_cache, intersection_number,
+                            load_fixture, profile_key, validate_fixture)
 
 FIXTURES = load_all_fixtures(fixture_dir())
 # the libyaml parser when PyYAML has it, and always the pure-Python fallback
@@ -244,11 +244,11 @@ def test_mutated_case_fixtures_are_flagged_without_raising():
 def test_intersection_numbers_match_hand_values():
     a5 = FIXTURES["a5"]
     model = a5.model
-    l3 = model.curve("L3")
-    c3 = model.curve("C3")
-    assert intersection_number(model, l3, l3) == Rat(1, 3)
-    assert intersection_number(model, l3, c3) == Rat(2, 3)
-    assert intersection_number(model, c3, c3) == Rat(4, 3)
+    l3, c3 = model.curve_map["L3"], model.curve_map["C3"]
+    cache = _pullback_cache(model)
+    assert intersection_number(model, l3, l3, cache) == Rat(1, 3)
+    assert intersection_number(model, l3, c3, cache) == Rat(2, 3)
+    assert intersection_number(model, c3, c3, cache) == Rat(4, 3)
 
 
 def test_tau_floor_must_be_reciprocal_of_omega():
@@ -360,15 +360,32 @@ def test_malformed_script_is_located_parse_error(old, new, error, message):
     ("a3", '  - [["1", L1], ["1", L2], ["1", L3]]\n',
      '  - [["1", L1], ["1", L2], ["1", L3]]\n  - [["1", L3], ["1", L1], ["1", L2]]\n',
      "equivalences[1]: repeated entry '1*L1 + 1*L2 + 1*L3'"),
+    ("a1", "        - {exceptional: E1}\n",
+     "        - {exceptional: E1}\n    - {name: F1, point: O, through: [{exceptional: F1}]}\n",
+     "witness.tower[1].name: repeated name 'F1'"),
 ], ids=["curve id", "branch name", "alternative name", "block name", "unnamed block",
-        "equivalence"])
+        "equivalence", "tower step"])
 def test_repeated_id_or_leaf_name_is_located_parse_error(name, old, new, message):
     # a repeated curve once loaded and verified; a repeated name gave two leaves of one
-    # name, and a block listed twice verified its leaves twice under two names
+    # name, and a block listed twice verified its leaves twice under two names; a
+    # repeated tower step gave two ratios of one name
     text = Path(str(fixture_dir() / f"{name}.yaml")).read_text()
     assert text.count(old) == 1
     with pytest.raises(ParseError, match=f"^{re.escape(f'{name}: {message}')}$"):
         load_fixture(text.replace(old, new), name=name)
+
+
+def test_tower_node_names_resolve_at_load():
+    # a bare node name is the node of its step's point; a qualified name and
+    # a step name stay as written
+    assert FIXTURES["a1"].witness.tower[0].exceptionals == ("O:E1",)
+    old = "        - {exceptional: E1}\n"
+    text = Path(str(fixture_dir() / "a1.yaml")).read_text()
+    text = text.replace(old, '        - {exceptional: "O:E1"}\n'
+                        "    - {name: F2, point: O, through: [{exceptional: F1}, "
+                        "{exceptional: E1}]}\n")
+    tower = load_fixture(text, name="a1").witness.tower
+    assert [step.exceptionals for step in tower] == [("O:E1",), ("F1", "O:E1")]
 
 
 @pytest.mark.parametrize("value, message", [
