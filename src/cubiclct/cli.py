@@ -14,22 +14,19 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from importlib import resources
 from pathlib import Path
 
 from cubiclct import engine, equivariant, fiberwise as fw
-from cubiclct.lattice import MalformedTower, pullback_coefficients
+from cubiclct.lattice import pullback_coefficients
 from cubiclct.linsys import (DimensionMismatch, InfeasibilityCertificate, LinearSystem,
                              SelfCheckFailed, check_feasibility, Infeasible,
                              replay_certificate)
 from cubiclct.model import (ADMISSIBLE_PROFILES, CaseFixture, ParseError,
                             load_fixture, profile_key, validate_fixture)
 from cubiclct.qexact import format_rat
-
-ENV_FIXTURE_DIR = "CUBICLCT_FIXTURE_DIR"
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -38,16 +35,13 @@ EXIT_USAGE = 2
 #: What ``main`` reports as an input error (exit 2).  Anything else, such as a
 #: bare KeyError or ValueError, is a bug and propagates.
 INPUT_ERRORS = (ParseError, OSError, UnicodeDecodeError, json.JSONDecodeError,
-                DimensionMismatch, engine.NotSNC, MalformedTower,
-                equivariant.BadGroupData, fw.BadFiberData)
+                DimensionMismatch)
 
 
 def fixture_dir(override: str | None = None) -> Path:
+    """``override``, else the fixture directory bundled with the package."""
     if override:
         return Path(override)
-    env = os.environ.get(ENV_FIXTURE_DIR)
-    if env:
-        return Path(env)
     return Path(str(resources.files("cubiclct") / "fixtures"))
 
 
@@ -196,9 +190,9 @@ def cmd_table(args) -> int:
 def cmd_case(args) -> int:
     fixture = _open_fixture(args.profile, fixture_dir(args.fixtures))
     if fixture.script is None:
-        kind = "equivariant" if fixture.group else "fiberwise"
-        print(f"fixture {fixture.name!r} has no case script; try "
-              f"`cubiclct {kind} {fixture.name}`", file=sys.stderr)
+        kind = "equivariant" if fixture.group else "fiberwise" if fixture.fiberwise else None
+        hint = f"; try `cubiclct {kind} {fixture.name}`" if kind else ""
+        print(f"fixture {fixture.name!r} has no case script{hint}", file=sys.stderr)
         return EXIT_USAGE
     result = engine.compute_case_threshold(fixture)
     engine.check_clause(result)
@@ -260,7 +254,7 @@ def cmd_replay(args) -> int:
 def cmd_equivariant(args) -> int:
     fixture = _open_fixture(args.fixture, fixture_dir(args.fixtures))
     if fixture.group is None:
-        print("fixture has no group data", file=sys.stderr)
+        print(f"fixture {fixture.name!r} has no group data", file=sys.stderr)
         return EXIT_USAGE
     result = equivariant.invariant_threshold(fixture)
     payload = {
@@ -282,7 +276,7 @@ def cmd_fiberwise(args) -> int:
     fixture = _open_fixture(args.fixture, fixture_dir(args.fixtures))
     data = fixture.fiberwise
     if data is None:
-        print("fixture has no fiberwise data", file=sys.stderr)
+        print(f"fixture {fixture.name!r} has no fiberwise data", file=sys.stderr)
         return EXIT_USAGE
     payload: dict = {"lct_pair": [format_rat(v) for v in data.lct_pair]}
     ok = True
@@ -314,8 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cubiclct",
         description="exact verification of log canonical thresholds on cubic surfaces")
-    parser.add_argument("--fixtures", help=f"fixture directory (default: bundled; "
-                                           f"env {ENV_FIXTURE_DIR})")
+    parser.add_argument("--fixtures", help="fixture directory (default: bundled)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table", help="classification table with verification status")

@@ -35,10 +35,6 @@ from cubiclct.model import (Branch, CaseFixture, ProofScript, ScriptRow,
 from cubiclct.qexact import format_rat
 
 
-class NotSNC(ValueError):
-    """Witness declares unresolved tangencies but ships no blowup tower."""
-
-
 class Inconsistent(ValueError):
     """A verified case disagrees with the classification clause."""
 
@@ -53,10 +49,8 @@ class UpperBound(NamedTuple):
 
 
 def witness_lct_upper(model: SurfaceModel, witness: Witness) -> UpperBound:
-    """Exact threshold of the witness pair; an upper bound for lct(S)."""
-    if witness.tangencies and not witness.tower:
-        raise NotSNC("declared tangencies need a blowup tower: "
-                     + ", ".join(witness.tangencies))
+    """Exact threshold of the witness pair; an upper bound for lct(S).  A
+    validated witness has degree 3 and no negative term, so some ratio exists."""
     curve_map = model.curve_map
     ratios: list[tuple[str, Rat]] = []
     for mult, cid in witness.boundary.terms:
@@ -86,8 +80,6 @@ def witness_lct_upper(model: SurfaceModel, witness: Witness) -> UpperBound:
             if ord_f > 0:
                 ratios.append((f"tower:{name}", (1 + a_f) / ord_f))
 
-    if not ratios:
-        raise ValueError("witness divisor has no positive multiplicities")
     value = min(r for _, r in ratios)
     minima = tuple(name for name, r in ratios if r == value)
     return UpperBound(value, minima, tuple(ratios))
@@ -285,7 +277,7 @@ class MutationRecord(NamedTuple):
     text: str
     declared_redundant: bool
     authored: bool
-    flips: bool         # deleting the row makes some leaf feasible
+    flips: bool         # deleting the row makes some leaf or exclusion system feasible
 
 
 def _authored_rows(fixture: CaseFixture) -> list[tuple[str, ScriptRow]]:
@@ -298,6 +290,8 @@ def _authored_rows(fixture: CaseFixture) -> list[tuple[str, ScriptRow]]:
         if block.generate is None:
             for br in block.branches:
                 rows.extend((f"block:{block.name}/branch:{br.name}", r) for r in br.rows)
+    for a in script.assumptions:
+        rows.extend((f"assumption:{a.tag}", r) for r in a.exclusion_rows)
     return rows
 
 
@@ -307,24 +301,28 @@ def _support(rows: tuple[ScriptRow, ...], certificate: InfeasibilityCertificate)
 
 
 def mutation_audit(fixture: CaseFixture) -> list[MutationRecord]:
-    """Delete each script row in turn and re-verify all leaves.
+    """Delete each script row in turn and re-verify all leaves and all
+    assumption exclusion systems.
 
-    Rows whose deletion leaves every leaf infeasible are operationally
+    Rows whose deletion leaves every system infeasible are operationally
     redundant; fixtures must declare exactly those with ``redundant: true``
-    so every undeclared row is guaranteed to carry weight in some leaf.
+    so every undeclared row is guaranteed to carry weight in some system.
     The branch rows of a ``generate`` block are audited too but reported
     with ``authored=False``.
 
-    Each leaf is solved once, and it keeps the support (the rows with a
+    Each system is solved once, and it keeps the support (the rows with a
     nonzero multiplier) of every certificate known for it: its own, and one
     from each re-solve that stays infeasible.  By Farkas' lemma a support
     that avoids the deleted row refutes a subset of the rows left, so the
-    leaf stays infeasible; a leaf is solved again without the row only when
-    every known support uses it (a feasible leaf has none).
+    system stays infeasible; it is solved again without the row only when
+    every known support uses it (a feasible system has none).
     """
     script = fixture.script
+    tau = _tau_row(script)
+    exclusions = [Branch(a.tag, (tau,) + a.exclusion_rows)
+                  for a in script.assumptions if a.exclusion_rows]
     audited = []   # (leaf, ids of its rows, supports of its known certificates)
-    for leaf in materialize_leaves(fixture):
+    for leaf in materialize_leaves(fixture) + exclusions:
         certificate = _solve(script, leaf.name, leaf.rows).certificate
         supports = [_support(leaf.rows, certificate)] if certificate is not None else []
         audited.append((leaf, {id(r) for r in leaf.rows}, supports))

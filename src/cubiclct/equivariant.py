@@ -16,58 +16,15 @@ from fractions import Fraction as Rat
 from typing import NamedTuple
 
 from cubiclct.engine import ke_criterion
-from cubiclct.model import CaseFixture, GroupData
-
-
-class BadGroupData(ValueError):
-    """Group data that contradicts itself or the fixture's lines."""
-
-
-class NotAPermutation(BadGroupData):
-    pass
-
-
-class NoReducedComponent(BadGroupData):
-    """Invariant divisor has no component of multiplicity exactly one."""
+from cubiclct.model import CaseFixture, GroupData, generated_group
 
 
 class EliminationFails(ValueError):
     """An invariant curve of degree < 3 survives; names the candidate."""
 
 
-def _as_perm(mapping: dict[str, str], domain: list[str], name: str) -> dict[str, str]:
-    if set(mapping) != set(domain) or set(mapping.values()) != set(domain):
-        raise NotAPermutation(f"generator {name} is not a permutation of {sorted(domain)}")
-    return dict(mapping)
-
-
-def _compose(f: dict[str, str], g: dict[str, str]) -> dict[str, str]:
-    return {x: f[g[x]] for x in g}
-
-
-def generated_group(generators: list[dict[str, str]], domain: list[str]) -> list[dict[str, str]]:
-    """Closure of the generators under composition (the image in Sym(domain))."""
-    identity = {x: x for x in domain}
-    seen = {tuple(sorted(identity.items()))}
-    elements = [identity]
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in generators:
-            for h in frontier:
-                gh = _compose(g, h)
-                key = tuple(sorted(gh.items()))
-                if key not in seen:
-                    seen.add(key)
-                    elements.append(gh)
-                    nxt.append(gh)
-        frontier = nxt
-    return elements
-
-
 def orbit_partition(generators: list[dict[str, str]], labels: list[str]) -> list[list[str]]:
     """Orbits of the generated group, each sorted, ordered by least label."""
-    perms = [_as_perm(g, labels, f"#{i}") for i, g in enumerate(generators)]
     remaining = set(labels)
     orbits = []
     for start in sorted(labels):
@@ -77,7 +34,7 @@ def orbit_partition(generators: list[dict[str, str]], labels: list[str]) -> list
         frontier = [start]
         while frontier:
             x = frontier.pop()
-            for g in perms:
+            for g in generators:
                 y = g[x]
                 if y not in orbit:
                     orbit.add(y)
@@ -86,25 +43,6 @@ def orbit_partition(generators: list[dict[str, str]], labels: list[str]) -> list
         orbits.append(sorted(orbit))
     orbits.sort(key=lambda o: o[0])
     return orbits
-
-
-def invariant_upper_bound(group: GroupData, divisor: list[tuple[Rat, str]],
-                          line_labels: list[str]) -> Rat:
-    """Scaling an invariant divisor with a multiplicity-1 component past 1
-    puts a curve coefficient above 1, so the invariant threshold is at most 1.
-    """
-    if not any(m == 1 for m, _ in divisor):
-        raise NoReducedComponent("no component of multiplicity exactly 1")
-    gens = [dict(g.lines) for g in group.generators]
-    mult = {cid: Rat(0) for cid in line_labels}
-    relevant = [(m, cid) for m, cid in divisor if cid in mult]
-    for m, cid in relevant:
-        mult[cid] += m
-    for i, g in enumerate(gens):
-        moved = {g[cid]: m for cid, m in mult.items()}
-        if moved != mult:
-            raise BadGroupData(f"divisor is not invariant under generator #{i}")
-    return Rat(1)
 
 
 class EliminationTrace(NamedTuple):
@@ -162,15 +100,8 @@ def invariant_threshold(fixture: CaseFixture) -> InvariantResult:
     if group is None:
         raise ValueError("fixture has no group data")
     line_labels = [c.id for c in fixture.model.curves if c.kind == "line"]
-    gens = [dict(g.lines) for g in group.generators]
-    for i, g in enumerate(gens):
-        _as_perm(g, line_labels, group.generators[i].name)
-    image = generated_group(gens, line_labels)
-    if group.declared_order % len(image) != 0:
-        raise BadGroupData(
-            f"image order {len(image)} does not divide declared order {group.declared_order}")
-
-    upper = invariant_upper_bound(group, list(group.invariant_divisor), line_labels)
+    image = generated_group([dict(g.lines) for g in group.generators], line_labels)
+    upper = Rat(1)   # past 1, the invariant divisor's multiplicity-1 component exceeds 1
     assumptions = tuple(f"{a.tag}: {a.note}" for a in group.assumptions)
     try:
         trace = eliminate_invariant_curves(group, line_labels)

@@ -21,12 +21,6 @@ class NoFactorization(ValueError):
     """No k >= 0 with target∘map = t^k * source."""
 
 
-class BadFiberData(ValueError):
-    """Fiberwise data outside the model: an exponent vector of the wrong
-    length, a map of a non-projective coordinate or by a negative power, or a
-    non-positive threshold."""
-
-
 class Poly(NamedTuple):
     """Sparse polynomial in (x, y, z, w, t); no zero coefficients stored."""
 
@@ -38,8 +32,6 @@ class Poly(NamedTuple):
         for coef, exps in items:
             coef = Rat(coef)
             exps = tuple(int(e) for e in exps)
-            if len(exps) != len(VARIABLES):
-                raise BadFiberData("exponent vector must have 5 entries (x,y,z,w,t)")
             acc[exps] = acc.get(exps, Rat(0)) + coef
         cleaned = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
         return Poly(cleaned)
@@ -49,8 +41,6 @@ class Poly(NamedTuple):
             [(c, e[:T_INDEX] + (e[T_INDEX] + k,)) for e, c in self.terms])
 
     def min_t_power(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial")
         return min(e[T_INDEX] for e, _ in self.terms)
 
 
@@ -61,11 +51,6 @@ class SubstitutionMap(NamedTuple):
 
     @staticmethod
     def from_dict(mapping: dict[str, int]) -> "SubstitutionMap":
-        unknown = set(mapping) - set(VARIABLES[:T_INDEX])
-        if unknown:
-            raise BadFiberData(f"substitution maps projective coordinates only: {unknown}")
-        if any(int(e) < 0 for e in mapping.values()):
-            raise BadFiberData("t-powers are nonnegative")
         return SubstitutionMap(tuple(int(mapping.get(v, 0)) for v in VARIABLES[:T_INDEX]))
 
     def apply(self, poly: Poly) -> Poly:
@@ -100,8 +85,6 @@ def biregularity_criterion(lct_x: Rat, lct_xbar: Rat,
     biregular when both special fibers are log terminal and the thresholds
     sum past 1, or when the source fiber is log terminal with threshold >= 1.
     """
-    if lct_x <= 0 or lct_xbar <= 0:
-        raise BadFiberData("lct values must be positive")
     if x_log_terminal and lct_x >= 1:
         return BiregularityVerdict("Biregular", "lct(X) >= 1")
     if x_log_terminal and xbar_log_terminal and lct_x + lct_xbar > 1:

@@ -38,10 +38,6 @@ class UnsupportedType(ValueError):
     """ADE type outside the cubic-surface range (for instance E7 or E8)."""
 
 
-class MalformedTower(ValueError):
-    """A blowup step references a divisor that does not exist yet."""
-
-
 # A dataclass, not a NamedTuple: it checks its family and rank.
 @dataclass(frozen=True)
 class AdeType:
@@ -161,6 +157,9 @@ def tower_log_discrepancy(tower: tuple[TowerStep, ...],
         a_F   = 1 + sum of a_E over exceptional divisors through the center,
         ord_F = (sum of strict multiplicities at the center)
                 + sum of ord_E over exceptional divisors through the center.
+
+    Each step names keys of ``strict_mults`` and of ``base_ord`` or earlier
+    steps only, as ``model`` checks when it loads a tower.
     """
     disc: dict[str, Rat] = {name: Rat(0) for name in base_ord}
     ords: dict[str, Rat] = dict(base_ord)
@@ -169,12 +168,8 @@ def tower_log_discrepancy(tower: tuple[TowerStep, ...],
         a_f = Rat(1)
         ord_f = Rat(0)
         for curve, mult in step.strict_curves:
-            if curve not in strict_mults:
-                raise MalformedTower(f"step {step.name}: unknown curve {curve!r}")
             ord_f += strict_mults[curve] * mult
         for exc in step.exceptionals:
-            if exc not in ords:
-                raise MalformedTower(f"step {step.name}: unknown divisor {exc!r}")
             a_f += disc[exc]
             ord_f += ords[exc]
         disc[step.name] = a_f

@@ -128,7 +128,6 @@ class SurfaceModel(NamedTuple):
 class Witness(NamedTuple):
     boundary: BoundaryDivisor
     tower: tuple[TowerStep, ...] = ()   # () for no tower
-    tangencies: tuple[str, ...] = ()
 
 
 class ScriptRow(NamedTuple):
@@ -429,22 +428,34 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
 
     witness = None
     if "witness" in doc:
-        wspec, steps = doc["witness"], []
+        wspec = doc["witness"]
         tower = wspec.get("tower", ())
+        if wspec.get("tangencies") and not tower:
+            raise ParseError("witness.tangencies: declared tangencies need a blowup tower: "
+                             + ", ".join(wspec["tangencies"]))
         _unique((step["name"] for step in tower), "witness.tower", "name")
-        step_names = {step["name"] for step in tower}
+        nodes = {f"{pid}:{node}" for pid, ade in points.items() for node in ade.nodes}
+        steps, earlier = [], set()
         for j, step in enumerate(tower):
             ctx = f"witness.tower[{j}]"
             pid = _declared(points, step["point"], "point", f"{ctx}.point")
-            # a bare node name is the node of the step's own point
-            exceptionals = (t["exceptional"] for t in step["through"] if "exceptional" in t)
-            steps.append(TowerStep(
-                step["name"],
-                tuple((_declared(curve_ids, t["curve"], "curve", f"{ctx}.through[{k}].curve"),
-                       t.get("mult", 1)) for k, t in enumerate(step["through"]) if "curve" in t),
-                tuple(e if ":" in e or e in step_names else f"{pid}:{e}" for e in exceptionals)))
+            strict, exceptionals = [], []
+            for k, t in enumerate(step["through"]):
+                where = f"{ctx}.through[{k}]"
+                if "curve" in t:
+                    strict.append((_declared(curve_ids, t["curve"], "curve", f"{where}.curve"),
+                                   t.get("mult", 1)))
+                    continue
+                # an earlier step, or a node: ``<point>:<node>``, or bare for the step's point
+                e = t["exceptional"]
+                node = e if ":" in e else f"{pid}:{e}"
+                if e not in earlier and node not in nodes:
+                    raise DanglingReference(f"{where}.exceptional: unknown divisor {e!r}")
+                exceptionals.append(e if e in earlier else node)
+            steps.append(TowerStep(step["name"], tuple(strict), tuple(exceptionals)))
+            earlier.add(step["name"])
         witness = Witness(BoundaryDivisor(curve_terms(wspec["divisor"], "witness.divisor")),
-                          tuple(steps), wspec.get("tangencies", ()))
+                          tuple(steps))
 
     script = None
     if "script" in doc:
@@ -491,6 +502,30 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
 
 
 # --- validation ---------------------------------------------------------------
+
+
+def _compose(f: dict[str, str], g: dict[str, str]) -> dict[str, str]:
+    return {x: f[g[x]] for x in g}
+
+
+def generated_group(generators: list[dict[str, str]], domain: list[str]) -> list[dict[str, str]]:
+    """Closure of the generators under composition (the image in Sym(domain))."""
+    identity = {x: x for x in domain}
+    seen = {tuple(sorted(identity.items()))}
+    elements = [identity]
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for g in generators:
+            for h in frontier:
+                gh = _compose(g, h)
+                key = tuple(sorted(gh.items()))
+                if key not in seen:
+                    seen.add(key)
+                    elements.append(gh)
+                    nxt.append(gh)
+        frontier = nxt
+    return elements
 
 
 def _pullback_cache(model: SurfaceModel):
@@ -589,6 +624,34 @@ def validate_fixture(fixture: CaseFixture) -> list[str]:
         if model.equivalences and not any(
                 sorted(wb.terms) == sorted(eq.terms) for eq in model.equivalences):
             findings.append("witness: boundary does not match any declared equivalence")
+
+    group = fixture.group
+    if group is not None:
+        lines = [c.id for c in model.curves if c.kind == "line"]
+        perms = [(g.name, dict(g.lines)) for g in group.generators]
+        bad = [name for name, p in perms if set(p) != set(lines) or set(p.values()) != set(lines)]
+        findings.extend(f"group: generator {name} is not a permutation of the "
+                        f"{len(lines)} lines" for name in bad)
+        if not any(m == 1 for m, _ in group.invariant_divisor):
+            findings.append("group: invariant divisor has no component of multiplicity 1")
+        if not bad:
+            mult = dict.fromkeys(lines, Rat(0))   # only its line terms are compared
+            for m, cid in group.invariant_divisor:
+                if cid in mult:
+                    mult[cid] += m
+            findings.extend(f"group: invariant divisor moves under generator {name}"
+                            for name, p in perms if {p[c]: m for c, m in mult.items()} != mult)
+            order = len(generated_group([p for _, p in perms], lines))
+            if group.declared_order % order:
+                findings.append(f"group: image order {order} does not divide declared "
+                                f"order {group.declared_order}")
+
+    fiberwise = fixture.fiberwise
+    if fiberwise is not None:
+        findings.extend(f"fiberwise: map power of {v} is negative ({e})"
+                        for v, e in fiberwise.map_powers or () if e < 0)
+        findings.extend(f"fiberwise: lct_pair[{i}] = {format_rat(x)} is not positive"
+                        for i, x in enumerate(fiberwise.lct_pair) if x <= 0)
 
     script = fixture.script
     if script is not None:   # the loader gives a script an expected_omega

@@ -165,7 +165,8 @@ FIXTURE = Record({
         "invariant_divisor": TERMS,
         "assumptions?": ASSUMPTIONS}),
     "fiberwise?": Record({
-        "source_poly?": POLY, "target_poly?": POLY, "map?": IdMap(integer),
+        "source_poly?": POLY, "target_poly?": POLY,
+        "map?": Record({"x?": integer, "y?": integer, "z?": integer, "w?": integer}),
         "expected_k?": integer,
         "lct_pair": ListOf(rational, 2),
         "log_terminal": ListOf(boolean, 2),

@@ -127,8 +127,10 @@ def test_malformed_scalar_is_located_parse_error(capsys, tmp_path, old, new, mes
      "fiberwise.fiber_profiles: expected 2 entries, got 1"),
     ("log_terminal: [true, true]", "log_terminal: [true]",
      "fiberwise.log_terminal: expected 2 entries, got 1"),
+    ("map: {x: 2, y: 3, z: 0, w: 6}", "map: {x: 2, y: 3, z: 0, w: 6, t: 1}",
+     "fiberwise.map: unknown key 't'"),
 ], ids=["three lcts", "misspelt verdict", "list verdict", "profiles string", "one profile",
-        "one log_terminal"])
+        "one log_terminal", "map of t"])
 def test_malformed_fiberwise_field_is_located_parse_error(capsys, tmp_path, old, new, message):
     _fixture_copy(tmp_path, "fiber_e6", old, new)
     code, out, err = run(capsys, "--fixtures", str(tmp_path), "fiberwise", "fiber_e6")
@@ -607,24 +609,43 @@ def test_internal_error_is_not_reported_as_usage_error(capsys, monkeypatch):
 
 @pytest.mark.parametrize("name, old, new, command, message", [
     ("a1", "{exceptional: E1}", "{exceptional: E9}", "case",
-     "error: step F1: unknown divisor 'O:E9'"),
+     "error: a1: witness.tower[0].through[2].exceptional: unknown divisor 'E9'"),
     ("cayley", "declared_order: 24", "declared_order: 25", "equivariant",
-     "error: image order 24 does not divide declared order 25"),
+     "invalid fixture: cayley: group: image order 24 does not divide declared order 25"),
     ("cayley", 'invariant_divisor: [["1", T]]', 'invariant_divisor: [["2", T]]', "equivariant",
-     "error: no component of multiplicity exactly 1"),
+     "invalid fixture: cayley: group: invariant divisor has no component of multiplicity 1"),
     ("cayley", "L12: L12, L13: L23", "L12: L13, L13: L23", "equivariant",
-     "error: generator swap_xy is not a permutation of"),
-    ("fiber_e6", "w: 6}", "w: -6}", "fiberwise", "error: t-powers are nonnegative"),
+     "invalid fixture: cayley: group: generator swap_xy is not a permutation of the 9 lines"),
+    ("fiber_e6", "w: 6}", "w: -6}", "fiberwise",
+     "invalid fixture: fiber_e6: fiberwise: map power of w is negative (-6)"),
     ("fiber_e6", 'lct_pair: ["1/6", "2/3"]', 'lct_pair: ["0", "2/3"]', "fiberwise",
-     "error: lct values must be positive"),
+     "invalid fixture: fiber_e6: fiberwise: lct_pair[0] = 0 is not positive"),
 ], ids=["tower", "group order", "no reduced component", "not a permutation",
         "negative power", "zero lct"])
 def test_named_input_error_exits_two(capsys, tmp_path, name, old, new, command, message):
+    # the loader locates a bad reference, and validate_fixture reports data
+    # that contradict the fixture; each names the fixture
     _fixture_copy(tmp_path, name, old, new)
     code, out, err = run(capsys, "--fixtures", str(tmp_path), command, name)
-    assert code == 2
-    assert out == ""
-    assert err.startswith(message)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["case", "cayley"], "fixture 'cayley' has no case script; try `cubiclct equivariant cayley`"),
+    (["case", "fiber_e6"],
+     "fixture 'fiber_e6' has no case script; try `cubiclct fiberwise fiber_e6`"),
+    (["case", "bare"], "fixture 'bare' has no case script"),
+    (["equivariant", "a5"], "fixture 'a5' has no group data"),
+    (["fiberwise", "cayley"], "fixture 'cayley' has no fiberwise data"),
+], ids=["case of a group", "case of a fiberwise", "case of neither", "equivariant",
+        "fiberwise"])
+def test_command_without_its_data_names_the_fixture(capsys, tmp_path, argv, message):
+    # a command is hinted only to a fixture that holds its data
+    for name in ("a5", "cayley", "fiber_e6"):
+        _fixture_copy(tmp_path, name)
+    (tmp_path / "bare.yaml").write_text("name: bare\nprofile: [A1]\npoints: {O: {type: A1}}\n")
+    code, out, err = run(capsys, "--fixtures", str(tmp_path), *argv)
+    assert (code, out, err) == (2, "", message + "\n")
 
 
 def test_malformed_system_file_or_pullback_argument_is_input_error(capsys, tmp_path):
@@ -804,16 +825,6 @@ def test_usage_error_exit_code(capsys):
     assert main(["certify"]) == 2
 
 
-def test_fixture_dir_env_override(capsys, tmp_path, monkeypatch):
-    from cubiclct.cli import ENV_FIXTURE_DIR, fixture_dir
-    src = Path(str(fixture_dir() / "e6.yaml")).read_text()
-    (tmp_path / "e6.yaml").write_text(src)
-    monkeypatch.setenv(ENV_FIXTURE_DIR, str(tmp_path))
-    code, out, _ = run(capsys, "case", "E6")
-    assert code == 0
-    assert "omega = 1/6" in out
-
-
 def test_quoted_false_log_terminal_is_an_input_error(capsys, tmp_path):
     _fixture_copy(tmp_path, "fiber_e6", "log_terminal: [true, true]",
                   'log_terminal: ["false", true]')
@@ -839,25 +850,25 @@ PINNED = {
     "A2+A1+A1": ("80701fa7b60b9597f71d1de6c1f1cba0fcb4af2a9d4849d1f6233116a5bb8c3a",
                  "d46ecca0d8058f57a6fd17212c091773a52dfa983bf6aec90072e33370f83164"),
     "A2+A2": ("b043f8cb1f4bcb4c10ffbbe06b7c1679558ccd42dc6ffdf9f15ec27fdc0bb9fd",
-              "68a742dd234df1c84030d7f5e7f040033a153ab31766deea0f7c55924d034a00"),
+              "74137f2db2dacd9d567837c0052920d8639ef86ad54341affdfcd61a1c2be6f8"),
     "A2+A2+A1": ("4e0a5eb265a1b06498231c91c7db658f5fc6964034e036c21064f9bd7d7b7c0d",
-                 "5ac2c70fb0dac99da78f81936772de998fa2126bd47223140a9da6cc066cd4d5"),
+                 "15df53f5ed3a5578c8889480a4dc2bf0b208503ae6cc0e060b3ca4350da161cd"),
     "A3": ("e856075d9d7b274cbc8e4731ac1a9c771e10a8b53a68b661dad017594fad61fa",
-           "9b8538b645924fb5b32ad15c9f9fcd0c424fa288522a5fd6ceac92fcbd6d9c18"),
+           "193b6c4f5ca957259f3155f627affeb0985dcef83767fdcb1a8e03f6e6cfa52b"),
     "A3+A1": ("b97d342b29a997a75071912905daafd2094365d67beb2cf380eee571ebe92d78",
               "e5a22986f8d6367524f0375f492fbd7d175aaab106cbd3e4626ca7e962c6f545"),
     "A3+A1+A1": ("6dc7f7eb601c1484b741099f05b3c6eada409be469817870c35b1988cdc66944",
                  "ece74c80d1f8658558c8871107f5f48a6b65f619854f698e1e5253137feb639a"),
     "A4": ("8273bb2b7c1b00c9d2d017d3ca225fcd389d6daf931112957f527cd28b507318",
-           "65d4f73ea33d228baeba8fb511f87b7c2c5f3661dadfffae677ac81fa8e4ffc2"),
+           "20bb28e6efbb72c06f03bc005a8574a46d5594e0d5a4434db2e7a87aa45b919f"),
     "A4+A1": ("fabfb87910bf45b000b2a6ae98ce1af805f6f62008dd366401a9cbc2334538ce",
-              "5f49b3f7937e40b649562ac048d85c38b8957208f2569b7d4c37322aa7a6ec7a"),
+              "4b537ec227fa022aa70242a38a2ccd56ba6b805b372df0079ee704c455e210ac"),
     "A5": ("8b4309032e32f52cb03ce25b3a1c89f7192db80fc63c78c4f4308dc06bfe7688",
-           "df58976c89848bc310472046d0d57c5c186105ef93203ea82ad160317e025e17"),
+           "b142b74d762b0a8573e18ceb446052470809155e9c57ae930d34f490f5a77fcd"),
     "A5+A1": ("25a5ed956b1c9fc2c8ea3d1c7b9e4cf1be06ec0b857f7ba14dd91ec46f9697bd",
-              "145463c11863817b8ef9cf3f8e841c9fd76c68a515fa1cf4de8529e6a9b48cd9"),
+              "972908ee82e124fb404dff88cbcde77b72b1dbfc442546793e64d40eaf264f34"),
     "D4": ("730c2808d57f22c67475b18e3496067b410f0241776b193af6bb18a9c601dc67",
-           "686c80d873bdcc56f4546b53068a639f2d9498fbbe1a02716e80f87d098f2a00"),
+           "aa9b4bcd2dad0e1204f61e1dc48c6babe5595461ffedad89dec900cd06a5b7b1"),
     "D5": ("11b37d2309e14e80619e4e7b3890ba8e985b4eee1feb59aa4dc9460ea9cdb9ef",
            "79d76836d4a742cc0263129eaca01983b3157dd93bfd3494a9cddda29a195c7b"),
     "E6": ("1057380f6143778f4979ab7ee7d282a09b8b19ff9470b751150ebe6ab5e867a7",

@@ -1,15 +1,16 @@
 from fractions import Fraction as Rat
+from pathlib import Path
 
 import pytest
 
 from cubiclct import engine
 from cubiclct.cli import case_fixtures, fixture_dir, load_all_fixtures
-from cubiclct.engine import (Inconsistent, NotSNC, assemble_table, classify_profile,
+from cubiclct.engine import (Inconsistent, assemble_table, classify_profile,
                              compute_case_threshold, ke_criterion, materialize_leaves,
                              mutation_audit, witness_lct_upper)
 from cubiclct.lattice import AdeType
 from cubiclct.linsys import Feasible, Infeasible, LinearSystem, check_feasibility, parse_row, replay_certificate
-from cubiclct.model import (ADMISSIBLE_PROFILES, ParseError, SingularityProfile,
+from cubiclct.model import (ADMISSIBLE_PROFILES, Branch, ParseError, SingularityProfile,
                             generate_case_tree, load_fixture)
 
 FIXTURES = load_all_fixtures(fixture_dir())
@@ -68,9 +69,10 @@ witness:
   divisor: [["1", L1], ["1", C1]]
   tangencies: ["L1, C1 and E1 meet at one point of the resolution"]
 """
-    f = load_fixture(doc)
-    with pytest.raises(NotSNC):
-        witness_lct_upper(f.model, f.witness)
+    # the loader refuses it, so no witness bound is computed on a non-SNC model
+    with pytest.raises(ParseError, match=r"^doc: witness\.tangencies: declared tangencies "
+                                         r"need a blowup tower: L1, C1 and E1 meet"):
+        load_fixture(doc, name="doc")
 
 
 def test_witness_invariant_under_relabeling_and_reversal():
@@ -237,10 +239,14 @@ def test_each_script_has_essential_rows():
 
 
 def test_support_driven_audit_matches_brute_force():
-    # the audit re-solves a leaf only when the deleted row is in the support of
-    # its certificate; re-solving every leaf without every row must agree
+    # the audit re-solves a system only when the deleted row is in the support
+    # of its certificate; re-solving every leaf and every exclusion system
+    # without every row must agree
     for key, fixture in sorted(CASES.items()):
-        leaves = materialize_leaves(fixture)
+        script = fixture.script
+        leaves = materialize_leaves(fixture) + [
+            Branch(a.tag, (engine._tau_row(script),) + a.exclusion_rows)
+            for a in script.assumptions if a.exclusion_rows]
         rows = {id(r): r for _, r in engine._authored_rows(fixture)}
         rows.update((id(r), r) for leaf in leaves for r in leaf.rows[1:]   # not the closure row
                     if id(r) not in rows)
@@ -253,6 +259,20 @@ def test_support_driven_audit_matches_brute_force():
                     tuple(r.row for r in leaf.rows if r is not row))), Feasible)
                 for leaf in leaves if any(r is row for r in leaf.rows))
             assert record.flips == flips, (key, record.location, record.text)
+
+
+def test_audit_covers_the_exclusion_rows():
+    # an exclusion row is an authored row: one that carries no weight must be
+    # declared redundant, like any other
+    text = Path(str(fixture_dir() / "a2a2.yaml")).read_text()
+    old = 'exclusion_rows: ["m > tau", "3 >= m"]'
+    assert text.count(old) == 1
+    fixture = load_fixture(text.replace(old, 'exclusion_rows: ["m > tau", "3 >= m", "m >= -5"]'),
+                           name="a2a2")
+    records = [r for r in mutation_audit(fixture) if r.location == "assumption:degree-bound"]
+    assert [(r.text, r.declared_redundant, r.authored, r.flips) for r in records] == [
+        ("m > tau", False, True, True), ("3 >= m", False, True, True),
+        ("m >= -5", False, True, False)]
 
 
 def test_audit_reuses_known_certificate_supports(monkeypatch):
@@ -268,7 +288,7 @@ def test_audit_reuses_known_certificate_supports(monkeypatch):
     monkeypatch.setattr(engine, "check_feasibility", counting)
     for _, fixture in sorted(CASES.items()):
         mutation_audit(fixture)
-    assert len(calls) == 354
+    assert len(calls) == 378
 
 
 # --- table and criterion --------------------------------------------------------

@@ -1,13 +1,14 @@
+import re
 from fractions import Fraction as Rat
+from pathlib import Path
 
 import pytest
 
 from cubiclct.cli import fixture_dir, load_all_fixtures
-from cubiclct.equivariant import (EliminationFails, NoReducedComponent,
-                                  NotAPermutation, eliminate_invariant_curves,
-                                  generated_group, invariant_threshold,
-                                  invariant_upper_bound, orbit_partition)
-from cubiclct.model import GroupData, GroupGenerator
+from cubiclct.equivariant import (EliminationFails, eliminate_invariant_curves,
+                                  invariant_threshold, orbit_partition)
+from cubiclct.model import (GroupData, GroupGenerator, generated_group, load_fixture,
+                            validate_fixture)
 
 FIXTURES = load_all_fixtures(fixture_dir())
 CAYLEY = FIXTURES["cayley"]
@@ -38,9 +39,18 @@ def test_trivial_group_gives_singletons():
     assert orbits == [["a"], ["b"], ["c"]]
 
 
+def _with_group(fixture, **fields):
+    return fixture._replace(group=fixture.group._replace(**fields))
+
+
 def test_not_a_permutation():
-    with pytest.raises(NotAPermutation):
-        orbit_partition([{"a": "a", "b": "a"}], ["a", "b"])
+    # swap_xy sends L1 and L2 to L2: a finding that names it, and no other
+    # group check is made on a map that is no permutation
+    swap_xy, *rest = XYZT3.group.generators
+    bad = swap_xy._replace(lines=(("L1", "L2"), ("L2", "L2"), ("L3", "L3")))
+    fixture = _with_group(XYZT3, generators=(bad, *rest))
+    assert validate_fixture(fixture) == [
+        "group: generator swap_xy is not a permutation of the 3 lines"]
 
 
 def test_group_orders():
@@ -60,27 +70,33 @@ def test_orbit_sizes_divide_group_order():
         assert all(order % s == 0 for s in sizes)
 
 
-def test_invariant_upper_bound_is_one():
-    assert invariant_upper_bound(CAYLEY.group, list(CAYLEY.group.invariant_divisor),
-                                 _lines(CAYLEY)) == Rat(1)
-    assert invariant_upper_bound(XYZT3.group, list(XYZT3.group.invariant_divisor),
-                                 _lines(XYZT3)) == Rat(1)
-
-
-def test_invariant_upper_bound_relabeling():
-    relabel = {f"L{i}": f"K{i}" for i in (1, 2, 3)}
-    gens = tuple(
-        GroupGenerator(g.name, tuple((relabel[a], relabel[b]) for a, b in g.lines))
-        for g in XYZT3.group.generators)
-    group = GroupData("S3xZ3", 18, gens,
-                      tuple((m, relabel[c]) for m, c in XYZT3.group.invariant_divisor))
-    divisor = [(m, relabel[c]) for m, c in XYZT3.group.invariant_divisor]
-    assert invariant_upper_bound(group, divisor, list(relabel.values())) == Rat(1)
+def test_relabelled_xyzt3_validates_with_threshold_one():
+    text = Path(str(fixture_dir() / "xyzt3.yaml")).read_text()
+    relabelled = load_fixture(re.sub(r"\bL([123])\b", r"K\1", text), name="xyzt3")
+    assert _lines(relabelled) == ["K1", "K2", "K3"]
+    assert validate_fixture(relabelled) == []
+    result = invariant_threshold(relabelled)
+    assert (result.upper, result.lct, result.image_order) == (Rat(1), Rat(1), 6)
 
 
 def test_no_reduced_component():
-    with pytest.raises(NoReducedComponent):
-        invariant_upper_bound(XYZT3.group, [(Rat(3), "L1")], _lines(XYZT3))
+    fixture = _with_group(XYZT3, invariant_divisor=((Rat(3), "L1"),))
+    assert "group: invariant divisor has no component of multiplicity 1" in \
+        validate_fixture(fixture)
+
+
+def test_divisor_moved_by_a_generator_is_a_finding_that_names_it():
+    # only line terms are compared; cycle_xyz and swap_xy move L1 + 2*L2, zeta_t does not
+    fixture = _with_group(XYZT3, invariant_divisor=((Rat(1), "L1"), (Rat(2), "L2")))
+    assert validate_fixture(fixture) == [
+        "group: invariant divisor moves under generator swap_xy",
+        "group: invariant divisor moves under generator cycle_xyz"]
+
+
+def test_image_order_must_divide_the_declared_order():
+    assert validate_fixture(_with_group(CAYLEY, declared_order=36)) == [
+        "group: image order 24 does not divide declared order 36"]
+    assert validate_fixture(_with_group(CAYLEY, declared_order=48)) == []
 
 
 def test_elimination_succeeds_on_both_fixtures():
@@ -101,7 +117,7 @@ def test_elimination_fails_with_artificial_fixed_line():
 
 def test_invariant_threshold_cayley():
     result = invariant_threshold(CAYLEY)
-    assert result.lct == Rat(1)
+    assert result.upper == result.lct == Rat(1)
     assert result.image_order == 24
     assert result.ke == "KECertified"
     assert result.verified
@@ -109,7 +125,7 @@ def test_invariant_threshold_cayley():
 
 def test_invariant_threshold_xyzt3():
     result = invariant_threshold(XYZT3)
-    assert result.lct == Rat(1)
+    assert result.upper == result.lct == Rat(1)
     assert result.image_order == 6
     assert result.ke == "KECertified"
 

@@ -2,7 +2,9 @@
 
 Each mutation deletes a key or list entry, duplicates a list entry, or sets a
 value to one of ``VALUES``; the mutated fixture's own command then runs in
-process, and its exit code must be one of the contract's 0, 1 and 2.
+process, and its exit code must be one of the contract's 0, 1 and 2.  An
+input error (2) must name the fixture in its first line: its file stem, or the
+``name`` it declares.
 """
 
 import copy
@@ -60,8 +62,13 @@ def test_no_mutation_escapes_main(capsys, tmp_path):
         path = tmp_path / f"{name}.yaml"
         path.write_text(yaml.safe_dump(doc))
         code = main([_command(docs[name]), str(path)])
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert code in (0, 1, 2), (i, name, op, code)
+        if code == 2:
+            first = err.splitlines()[0]
+            declared = doc.get("name")
+            assert name in first or (isinstance(declared, str) and declared in first), \
+                (i, name, op, first)
         codes[code] += 1
     # the sample reaches both a verdict and the input-error path
     assert codes[0] and codes[2], codes

@@ -388,6 +388,27 @@ def test_tower_node_names_resolve_at_load():
     assert [step.exceptionals for step in tower] == [("O:E1",), ("F1", "O:E1")]
 
 
+_THROUGH_E1 = "        - {exceptional: E1}\n"
+
+
+@pytest.mark.parametrize("new, message", [
+    ("        - {exceptional: E9}\n", "unknown divisor 'E9'"),
+    ('        - {exceptional: "O:E2"}\n', "unknown divisor 'O:E2'"),
+    ('        - {exceptional: "P:E1"}\n', "unknown divisor 'P:E1'"),
+    ("        - {exceptional: F1}\n", "unknown divisor 'F1'"),
+    ("        - {exceptional: F2}\n    - {name: F2, point: O, through: [{exceptional: E1}]}\n",
+     "unknown divisor 'F2'"),
+], ids=["node not in the type", "qualified node not in the type", "undeclared point",
+        "own step", "later step"])
+def test_tower_divisor_must_be_a_node_or_an_earlier_step(new, message):
+    # each once loaded, and failed only when the witness bound was computed
+    text = Path(str(fixture_dir() / "a1.yaml")).read_text()
+    assert text.count(_THROUGH_E1) == 1
+    with pytest.raises(DanglingReference, match=re.escape(
+            f"a1: witness.tower[0].through[2].exceptional: {message}") + "$"):
+        load_fixture(text.replace(_THROUGH_E1, new), name="a1")
+
+
 @pytest.mark.parametrize("value, message", [
     ("L1", "witness.tangencies: expected a list, got 'L1'"),
     ("[1]", "witness.tangencies[0]: expected a string, got 1"),
