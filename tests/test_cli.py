@@ -933,3 +933,20 @@ def test_every_bundled_report_is_pinned(capsys):
             changed[argv] = digest
     assert not changed, "new digests:\n" + "\n".join(
         f"    {argv!r}: {digest!r}," for argv, digest in changed.items())
+
+
+def test_failed_elimination_report_is_pinned(capsys, tmp_path):
+    # xyzt3 with swap_xy and cycle_xyz acting as the identity: every line is
+    # its own orbit, so only the upper bound 1 stands
+    from cubiclct.cli import fixture_dir
+    text = Path(str(fixture_dir() / "xyzt3.yaml")).read_text()
+    for perm in ("{L1: L2, L2: L1, L3: L3}", "{L1: L2, L2: L3, L3: L1}"):
+        assert perm in text
+        text = text.replace(perm, "{L1: L1, L2: L2, L3: L3}")
+    (tmp_path / "xyzt3.yaml").write_text(text)
+    code, out, err = run(capsys, "--fixtures", str(tmp_path), "equivariant", "xyzt3", "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["elimination_error"] == \
+        "invariant union of lines ['L1'] has degree 1 <= 2"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "e4619f06d1e0c4df182e60a58b396e5845a0dcced0bbb8e7b937493a44e3122e"
