@@ -17,10 +17,6 @@ VARIABLES = ("x", "y", "z", "w", "t")
 T_INDEX = 4
 
 
-class NoFactorization(ValueError):
-    """No k >= 0 with target∘map = t^k * source."""
-
-
 class Poly(NamedTuple):
     """Sparse polynomial in (x, y, z, w, t); no zero coefficients stored."""
 
@@ -61,16 +57,14 @@ class SubstitutionMap(NamedTuple):
         return Poly.from_terms(out)
 
 
-def substitute_and_factor(target: Poly, mapping: SubstitutionMap, source: Poly) -> int:
-    """The unique k >= 0 with target∘map = t^k * source, expanded exactly."""
+def substitute_and_factor(target: Poly, mapping: SubstitutionMap, source: Poly) -> int | None:
+    """The unique k >= 0 with target∘map = t^k * source, expanded exactly;
+    None when there is none, or either side is the zero polynomial."""
     image = mapping.apply(target)
     if not image.terms or not source.terms:
-        raise NoFactorization("zero polynomial")
+        return None
     k = image.min_t_power() - source.min_t_power()
-    if k < 0 or source.shift_t(k) != image:
-        raise NoFactorization(
-            "substituted polynomial is not a t-power multiple of the source")
-    return k
+    return k if k >= 0 and source.shift_t(k) == image else None
 
 
 class BiregularityVerdict(NamedTuple):

@@ -416,8 +416,10 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
             _declared(curve_ids, other, "curve", f"curves[{i}].pairwise.{other}")
 
     def curve_terms(terms, ctx) -> tuple[tuple[Rat, str], ...]:
+        """``terms``, each naming a declared curve, and no curve twice."""
         for j, (_, cid) in enumerate(terms):
             _declared(curve_ids, cid, "curve", f"{ctx}[{j}]")
+        _unique((cid for _, cid in terms), ctx)
         return terms
 
     equivalences = tuple(BoundaryDivisor(curve_terms(eq, f"equivalences[{i}]"))
@@ -630,8 +632,13 @@ def validate_fixture(fixture: CaseFixture) -> list[str]:
         lines = [c.id for c in model.curves if c.kind == "line"]
         perms = [(g.name, dict(g.lines)) for g in group.generators]
         bad = [name for name, p in perms if set(p) != set(lines) or set(p.values()) != set(lines)]
+        if not lines:
+            findings.append("group: no line to act on")
         findings.extend(f"group: generator {name} is not a permutation of the "
                         f"{len(lines)} lines" for name in bad)
+        degree = BoundaryDivisor(group.invariant_divisor).degree(curve_map)
+        if degree != 3:   # the bound 1 holds for an anticanonical divisor only
+            findings.append(f"group: invariant divisor has degree {format_rat(degree)}, not 3")
         if not any(m == 1 for m, _ in group.invariant_divisor):
             findings.append("group: invariant divisor has no component of multiplicity 1")
         if not bad:

@@ -612,22 +612,45 @@ def test_internal_error_is_not_reported_as_usage_error(capsys, monkeypatch):
      "error: a1: witness.tower[0].through[2].exceptional: unknown divisor 'E9'"),
     ("cayley", "declared_order: 24", "declared_order: 25", "equivariant",
      "invalid fixture: cayley: group: image order 24 does not divide declared order 25"),
-    ("cayley", 'invariant_divisor: [["1", T]]', 'invariant_divisor: [["2", T]]', "equivariant",
+    ("cayley", 'invariant_divisor: [["1", T]]',
+     'invariant_divisor: [["1/2", T], ["1/2", M1], ["1/2", M2], ["1/2", M3]]', "equivariant",
      "invalid fixture: cayley: group: invariant divisor has no component of multiplicity 1"),
+    ("cayley", 'invariant_divisor: [["1", T]]',
+     'invariant_divisor: [["1", T], ["1", M1], ["1", M2], ["1", M3]]', "equivariant",
+     "invalid fixture: cayley: group: invariant divisor has degree 6, not 3"),
+    ("cayley", 'invariant_divisor: [["1", T]]', 'invariant_divisor: [["1", T], ["1", T]]',
+     "equivariant", "error: cayley: group.invariant_divisor[1]: repeated entry 'T'"),
     ("cayley", "L12: L12, L13: L23", "L12: L13, L13: L23", "equivariant",
      "invalid fixture: cayley: group: generator swap_xy is not a permutation of the 9 lines"),
     ("fiber_e6", "w: 6}", "w: -6}", "fiberwise",
      "invalid fixture: fiber_e6: fiberwise: map power of w is negative (-6)"),
     ("fiber_e6", 'lct_pair: ["1/6", "2/3"]', 'lct_pair: ["0", "2/3"]', "fiberwise",
      "invalid fixture: fiber_e6: fiberwise: lct_pair[0] = 0 is not positive"),
-], ids=["tower", "group order", "no reduced component", "not a permutation",
-        "negative power", "zero lct"])
+], ids=["tower", "group order", "no reduced component", "divisor degree", "repeated curve",
+        "not a permutation", "negative power", "zero lct"])
 def test_named_input_error_exits_two(capsys, tmp_path, name, old, new, command, message):
     # the loader locates a bad reference, and validate_fixture reports data
     # that contradict the fixture; each names the fixture
     _fixture_copy(tmp_path, name, old, new)
     code, out, err = run(capsys, "--fixtures", str(tmp_path), command, name)
     assert (code, out, err) == (2, "", message + "\n")
+
+
+def test_group_fixture_with_no_line_is_an_input_error(capsys, tmp_path):
+    # xyzt3 with its lines made conics, no equivalence and generators that move nothing
+    from cubiclct.cli import fixture_dir
+    text = Path(str(fixture_dir() / "xyzt3.yaml")).read_text().replace("kind: line",
+                                                                      "kind: conic")
+    text, n = re.subn(r"lines: \{[^}]*\}", "lines: {}", text)
+    assert n == 3
+    text, n = re.subn(r"equivalences:\n  - .*\n", "", text)
+    assert n == 1
+    (tmp_path / "xyzt3.yaml").write_text(text)
+    code, out, err = run(capsys, "--fixtures", str(tmp_path), "equivariant", "xyzt3")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["invalid fixture: xyzt3: group: no line to act on",
+                                "invalid fixture: xyzt3: group: invariant divisor has "
+                                "degree 6, not 3"]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -2,13 +2,9 @@ import re
 from fractions import Fraction as Rat
 from pathlib import Path
 
-import pytest
-
 from cubiclct.cli import fixture_dir, load_all_fixtures
-from cubiclct.equivariant import (EliminationFails, eliminate_invariant_curves,
-                                  invariant_threshold, orbit_partition)
-from cubiclct.model import (GroupData, GroupGenerator, generated_group, load_fixture,
-                            validate_fixture)
+from cubiclct.equivariant import invariant_threshold
+from cubiclct.model import GroupGenerator, generated_group, load_fixture, validate_fixture
 
 FIXTURES = load_all_fixtures(fixture_dir())
 CAYLEY = FIXTURES["cayley"]
@@ -23,20 +19,23 @@ def _lines(fixture):
     return [c.id for c in fixture.model.curves if c.kind == "line"]
 
 
+def _orbits(gens, labels):
+    """Each label's orbit, read off the generated group as invariant_threshold reads it."""
+    image = generated_group(gens, labels)
+    return {frozenset(g[x] for g in image) for x in labels}
+
+
 def test_cayley_orbits_six_and_three():
-    orbits = orbit_partition(_line_gens(CAYLEY), _lines(CAYLEY))
-    assert sorted(len(o) for o in orbits) == [3, 6]
+    assert sorted(map(len, _orbits(_line_gens(CAYLEY), _lines(CAYLEY)))) == [3, 6]
 
 
 def test_xyzt3_line_orbit_transitive():
-    orbits = orbit_partition(_line_gens(XYZT3), _lines(XYZT3))
-    assert [len(o) for o in orbits] == [3]
+    assert _orbits(_line_gens(XYZT3), _lines(XYZT3)) == {frozenset(_lines(XYZT3))}
 
 
 def test_trivial_group_gives_singletons():
     labels = ["a", "b", "c"]
-    orbits = orbit_partition([{x: x for x in labels}], labels)
-    assert orbits == [["a"], ["b"], ["c"]]
+    assert _orbits([{x: x for x in labels}], labels) == {frozenset(x) for x in labels}
 
 
 def _with_group(fixture, **fields):
@@ -65,7 +64,7 @@ def test_orbit_sizes_divide_group_order():
         gens = _line_gens(fixture)
         labels = _lines(fixture)
         order = len(generated_group(gens, labels))
-        sizes = [len(o) for o in orbit_partition(gens, labels)]
+        sizes = [len(o) for o in _orbits(gens, labels)]
         assert sum(sizes) == len(labels)
         assert all(order % s == 0 for s in sizes)
 
@@ -100,19 +99,19 @@ def test_image_order_must_divide_the_declared_order():
 
 
 def test_elimination_succeeds_on_both_fixtures():
-    trace = eliminate_invariant_curves(CAYLEY.group, _lines(CAYLEY))
-    assert sorted(trace.orbit_sizes) == [3, 6]
-    assert trace.fixed_lines == ()
-    trace = eliminate_invariant_curves(XYZT3.group, _lines(XYZT3))
-    assert trace.orbit_sizes == (3,)
+    for fixture in (CAYLEY, XYZT3):
+        assert invariant_threshold(fixture).elimination == (
+            "no invariant curve of degree < 3: line orbits have size >= 3, "
+            "and no fixed line exists to pair with an invariant conic")
 
 
 def test_elimination_fails_with_artificial_fixed_line():
-    gens = (GroupGenerator("id", tuple((x, x) for x in ("L1", "L2", "L3"))),)
-    group = GroupData("trivial", 1, gens, ((Rat(1), "L1"),))
-    with pytest.raises(EliminationFails) as err:
-        eliminate_invariant_curves(group, ["L1", "L2", "L3"])
-    assert "L1" in str(err.value) or "degree" in str(err.value)
+    # swap_xy alone fixes L3, which could be the residual line of an invariant conic
+    fixture = _with_group(XYZT3, generators=XYZT3.group.generators[:1])
+    assert validate_fixture(fixture) == []
+    result = invariant_threshold(fixture)
+    assert (result.lct, result.ke, result.image_order) == (None, None, 2)
+    assert result.elimination == "invariant union of lines ['L3'] has degree 1 <= 2"
 
 
 def test_invariant_threshold_cayley():
@@ -139,4 +138,4 @@ def test_trivial_group_keeps_only_the_upper_bound():
     assert result.lct is None
     assert result.upper == Rat(1)
     assert not result.verified
-    assert result.elimination_error is not None
+    assert result.elimination == "invariant union of lines ['L12'] has degree 1 <= 2"

@@ -4,8 +4,8 @@ import pytest
 
 from cubiclct.cli import fixture_dir, load_all_fixtures
 from cubiclct.engine import classify_profile
-from cubiclct.fiberwise import (NoFactorization, Poly, SubstitutionMap,
-                                biregularity_criterion, substitute_and_factor)
+from cubiclct.fiberwise import (Poly, SubstitutionMap, biregularity_criterion,
+                                substitute_and_factor)
 from cubiclct.model import SingularityProfile
 
 FIXTURES = load_all_fixtures(fixture_dir())
@@ -38,15 +38,17 @@ def test_identity_map_gives_zero():
     assert substitute_and_factor(poly, SubstitutionMap.from_dict({}), poly) == 0
 
 
-def test_no_factorization_raises():
+def test_no_factorization_gives_none():
+    identity = SubstitutionMap.from_dict({})
     source = Poly.from_terms([(Rat(1), (3, 0, 0, 0, 0)), (Rat(1), (0, 0, 0, 3, 0))])
     target = Poly.from_terms([(Rat(1), (3, 0, 0, 0, 0)), (Rat(2), (0, 0, 0, 3, 0))])
-    with pytest.raises(NoFactorization):
-        substitute_and_factor(target, SubstitutionMap.from_dict({}), source)
+    assert substitute_and_factor(target, identity, source) is None
     # t-powers misaligned across terms
     target2 = Poly.from_terms([(Rat(1), (3, 0, 0, 0, 1)), (Rat(1), (0, 0, 0, 3, 0))])
-    with pytest.raises(NoFactorization):
-        substitute_and_factor(target2, SubstitutionMap.from_dict({}), source)
+    assert substitute_and_factor(target2, identity, source) is None
+    # a negative exponent, and the zero polynomial
+    assert substitute_and_factor(source, identity, source.shift_t(1)) is None
+    assert substitute_and_factor(Poly.from_terms([]), identity, source) is None
 
 
 def test_substitution_is_exact_remultiplication():

@@ -363,12 +363,17 @@ def test_malformed_script_is_located_parse_error(old, new, error, message):
     ("a1", "        - {exceptional: E1}\n",
      "        - {exceptional: E1}\n    - {name: F1, point: O, through: [{exceptional: F1}]}\n",
      "witness.tower[1].name: repeated name 'F1'"),
+    ("a3a1", '  - [["2", L1], ["1", L2]]\n', '  - [["1", L1], ["1", L1], ["1", L2]]\n',
+     "equivalences[0][1]: repeated entry 'L1'"),
+    ("a3a1", 'divisor: [["2", L1], ["1", L2]]', 'divisor: [["1", L1], ["1", L1], ["1", L2]]',
+     "witness.divisor[1]: repeated entry 'L1'"),
 ], ids=["curve id", "branch name", "alternative name", "block name", "unnamed block",
-        "equivalence", "tower step"])
+        "equivalence", "tower step", "equivalence curve", "witness curve"])
 def test_repeated_id_or_leaf_name_is_located_parse_error(name, old, new, message):
     # a repeated curve once loaded and verified; a repeated name gave two leaves of one
     # name, and a block listed twice verified its leaves twice under two names; a
-    # repeated tower step gave two ratios of one name
+    # repeated tower step gave two ratios of one name; a curve named twice in a
+    # divisor split its multiplicity, and the witness ratio of 2*L1 read 1, not 1/2
     text = Path(str(fixture_dir() / f"{name}.yaml")).read_text()
     assert text.count(old) == 1
     with pytest.raises(ParseError, match=f"^{re.escape(f'{name}: {message}')}$"):
