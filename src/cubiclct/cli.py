@@ -4,8 +4,10 @@ Subcommands: ``table``, ``case``, ``pullback``, ``certify``, ``replay``,
 ``equivariant``, ``fiberwise``.  Exit codes: 0 all verified, 1 a
 verification failed (the feasible witness point is printed, a leaf refuted
 without its closure row is named, a verified omega differs from its
-classification clause, or the FM kernel's own witness or certificate check
-failed), 2 input or usage error.
+classification clause, the FM kernel's own witness or certificate check
+failed, or stdout was closed before the report was written), 2 input or usage
+error: every such fault is a ``ParseError`` raised where it is found, or a
+printed validation finding, and ``main`` is the one place that exits 2.
 All rationals print as ``p/q``, never as decimals.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from importlib import resources
@@ -21,9 +24,8 @@ from pathlib import Path
 
 from cubiclct import engine, equivariant, fiberwise as fw
 from cubiclct.lattice import pullback_coefficients
-from cubiclct.linsys import (DimensionMismatch, InfeasibilityCertificate, LinearSystem,
-                             SelfCheckFailed, check_feasibility, Infeasible,
-                             replay_certificate)
+from cubiclct.linsys import (InfeasibilityCertificate, LinearSystem, SelfCheckFailed,
+                             check_feasibility, Infeasible, replay_certificate)
 from cubiclct.model import (ADMISSIBLE_PROFILES, CaseFixture, ParseError,
                             load_fixture, profile_key, validate_fixture)
 from cubiclct.qexact import format_rat
@@ -32,21 +34,30 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 
-#: What ``main`` reports as an input error (exit 2).  Anything else, such as a
-#: bare KeyError or ValueError, is a bug and propagates.
-INPUT_ERRORS = (ParseError, OSError, UnicodeDecodeError, json.JSONDecodeError,
-                DimensionMismatch)
-
 
 def fixture_dir(override: str | None = None) -> Path:
-    """``override``, else the fixture directory bundled with the package."""
-    if override:
-        return Path(override)
-    return Path(str(resources.files("cubiclct") / "fixtures"))
+    """``override``, which must be a directory, else the fixture directory
+    bundled with the package."""
+    if not override:
+        return Path(str(resources.files("cubiclct") / "fixtures"))
+    if not Path(override).is_dir():
+        raise ParseError(f"--fixtures {override}: not a directory")
+    return Path(override)
+
+
+def _read(path) -> str:
+    """The text of the file at ``path``; a file that cannot be read or is not
+    UTF-8 is a ParseError that names it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _load(path: Path) -> CaseFixture:
-    return load_fixture(path.read_text(), name=path.stem)
+    return load_fixture(_read(path), name=path.stem)
 
 
 def load_all_fixtures(directory: Path) -> dict[str, CaseFixture]:
@@ -159,7 +170,10 @@ def _print_case_text(result: engine.CaseResult) -> None:
 
 def cmd_table(args) -> int:
     t0 = time.monotonic()
-    fixtures = case_fixtures(load_all_fixtures(fixture_dir(args.fixtures)))
+    directory = fixture_dir(args.fixtures)
+    fixtures = case_fixtures(load_all_fixtures(directory))
+    if not fixtures:
+        raise ParseError(f"no case fixture under {directory}")
     items = sorted(fixtures.items())
     _check_valid(fixture for _, fixture in items)
     results = {key: engine.compute_case_threshold(fixture) for key, fixture in items}
@@ -192,8 +206,7 @@ def cmd_case(args) -> int:
     if fixture.script is None:
         kind = "equivariant" if fixture.group else "fiberwise" if fixture.fiberwise else None
         hint = f"; try `cubiclct {kind} {fixture.name}`" if kind else ""
-        print(f"fixture {fixture.name!r} has no case script{hint}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParseError(f"fixture {fixture.name!r} has no case script{hint}")
     result = engine.compute_case_threshold(fixture)
     engine.check_clause(result)
     if args.json:
@@ -213,20 +226,20 @@ def cmd_pullback(args) -> int:
         raise ParseError(f"{fixture.name}: no curve or point {exc}") from exc
     vec = curve.incidence_at(args.point)
     if vec is None:
-        print(f"curve {args.curve} does not meet the exceptional locus over "
-              f"{args.point}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParseError(f"curve {args.curve} does not meet the exceptional locus over "
+                         f"{args.point}")
     coeffs = ", ".join(format_rat(c) for c in pullback_coefficients(ade, list(vec)))
     print(f"{curve.id} at {args.point} ({ade.label}): ({coeffs})")
     return EXIT_OK
 
 
 def _read_json(path: str, from_json):
-    """``from_json`` of the JSON file at ``path``; a malformed document is a ParseError."""
-    data = json.loads(Path(path).read_text())
+    """``from_json`` of the JSON file at ``path``; a malformed document is a
+    ParseError that names the file."""
+    text = _read(path)   # its ParseError names the file already
     try:
-        return from_json(data)
-    except (ParseError, DimensionMismatch) as exc:
+        return from_json(json.loads(text))
+    except (ParseError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -254,8 +267,7 @@ def cmd_replay(args) -> int:
 def cmd_equivariant(args) -> int:
     fixture = _open_fixture(args.fixture, fixture_dir(args.fixtures))
     if fixture.group is None:
-        print(f"fixture {fixture.name!r} has no group data", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParseError(f"fixture {fixture.name!r} has no group data")
     result = equivariant.invariant_threshold(fixture)
     payload = {
         "group": result.group_name,
@@ -275,8 +287,7 @@ def cmd_fiberwise(args) -> int:
     fixture = _open_fixture(args.fixture, fixture_dir(args.fixtures))
     data = fixture.fiberwise
     if data is None:
-        print(f"fixture {fixture.name!r} has no fiberwise data", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParseError(f"fixture {fixture.name!r} has no fiberwise data")
     payload: dict = {"lct_pair": [format_rat(v) for v in data.lct_pair]}
     ok = True
     if data.source_poly is not None:
@@ -349,7 +360,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # so that a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # No reader is left for the report.  Point stdout at the null device,
+        # so that the flush at exit does not fail again, and print nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILED
     except SelfCheckFailed as exc:
         print(f"verification failed: self-check: {exc}", file=sys.stderr)
         return EXIT_FAILED
@@ -358,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FAILED
     except InvalidFixture:
         return EXIT_USAGE
-    except INPUT_ERRORS as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

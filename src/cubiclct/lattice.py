@@ -34,10 +34,6 @@ from typing import NamedTuple
 from cubiclct.qexact import solve_linear_system
 
 
-class UnsupportedType(ValueError):
-    """ADE type outside the cubic-surface range (for instance E7 or E8)."""
-
-
 # A dataclass, not a NamedTuple: it checks its family and rank.
 @dataclass(frozen=True)
 class AdeType:
@@ -46,21 +42,21 @@ class AdeType:
 
     def __post_init__(self):
         if self.family not in ("A", "D", "E"):
-            raise UnsupportedType(f"unknown family {self.family!r}")
+            raise ValueError(f"unknown family {self.family!r}")
         if self.family == "A" and self.rank < 1:
-            raise UnsupportedType("A_n needs rank >= 1")
+            raise ValueError("A_n needs rank >= 1")
         if self.family == "D" and self.rank < 4:
-            raise UnsupportedType("D_n needs rank >= 4")
+            raise ValueError("D_n needs rank >= 4")
         if self.family == "E" and self.rank != 6:
-            raise UnsupportedType("only E6 occurs on cubic surfaces")
+            raise ValueError("only E6 occurs on cubic surfaces")
 
     @staticmethod
     def parse(label: str) -> "AdeType":
         if not isinstance(label, str):
-            raise UnsupportedType(f"bad ADE label {label!r}")
+            raise ValueError(f"bad ADE label {label!r}")
         label = label.strip()
         if len(label) < 2 or label[0] not in "ADE":
-            raise UnsupportedType(f"bad ADE label {label!r}")
+            raise ValueError(f"bad ADE label {label!r}")
         return AdeType(label[0], int(label[1:]))
 
     @property

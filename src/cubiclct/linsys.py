@@ -66,14 +66,6 @@ from cubiclct.qexact import format_rat
 from cubiclct.schema import CERTIFICATE, SYSTEM, ParseError, walk
 
 
-class UnknownVariable(KeyError):
-    pass
-
-
-class DimensionMismatch(ValueError):
-    pass
-
-
 class SelfCheckFailed(RuntimeError):
     """check_feasibility produced a witness or certificate that does not check."""
 
@@ -159,7 +151,7 @@ class LinearSystem:
     def __post_init__(self):
         for row in self.rows:
             if len(row.coeffs) != len(self.variables):
-                raise DimensionMismatch("row width does not match variable count")
+                raise ParseError("row width does not match variable count")
 
     def pretty(self) -> list[str]:
         return [row.pretty(self.variables) for row in self.rows]
@@ -262,9 +254,9 @@ def parse_row(expr: str, variables: tuple[str, ...], provenance: str = "") -> Ro
     """Parse ``"2*a1 - a2 > tau - a4"`` style text into a normalized Row.
 
     All variables move to the left, constants to the right; ``<=`` and ``<``
-    are normalized by negation.  Unknown variable names raise KeyError so a
-    typo in a fixture cannot silently introduce a fresh unknown; a zero
-    denominator raises ValueError.
+    are normalized by negation.  An unknown variable name raises ValueError,
+    so a typo in a fixture cannot silently introduce a fresh unknown; so does
+    a zero denominator.
     """
     m = _REL_RE.search(expr)
     if m is None:
@@ -280,7 +272,7 @@ def parse_row(expr: str, variables: tuple[str, ...], provenance: str = "") -> Ro
     n, q = sums.pop(None, (0, 1))
     unknown = set(sums) - set(variables)
     if unknown:
-        raise UnknownVariable(f"{sorted(unknown)} not among variables {variables}")
+        raise ValueError(f"{sorted(unknown)} not among variables {variables}")
     vec = tuple(Rat(flip * c[0], c[1]) if (c := sums.get(v)) and c[0] else _ZERO
                 for v in variables)
     return Row(vec, Rat(-flip * n, q) if n else _ZERO, rel, provenance)
@@ -464,12 +456,13 @@ def replay_certificate(sys: LinearSystem, cert: InfeasibilityCertificate) -> boo
     integer fraction with a positive denominator, so its numerator has the
     entry's sign.  The certificate's ``derived`` row must be that combination:
     zero coefficients, the same constant, and ``>`` exactly when a strict row
-    has a positive weight.
+    has a positive weight.  A certificate whose widths do not fit the system
+    is a ParseError.
     """
     if len(cert.multipliers) != len(sys.rows):
-        raise DimensionMismatch("multiplier count does not match row count")
+        raise ParseError("multiplier count does not match row count")
     if len(cert.derived.coeffs) != len(sys.variables):
-        raise DimensionMismatch("derived row width does not match variable count")
+        raise ParseError("derived row width does not match variable count")
     width = len(sys.variables) + 1
     nums, dens = [0] * width, [1] * width
     strict_used = False

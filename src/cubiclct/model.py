@@ -31,10 +31,6 @@ from cubiclct.qexact import format_rat
 from cubiclct.schema import FIXTURE, ParseError, walk
 
 
-class DanglingReference(ParseError):
-    """A fixture field references an id that was never declared."""
-
-
 # Profiles of singular cubic surfaces with only ADE points, per the standard
 # classification of cubic surfaces (fixture data; not independently verified).
 ADMISSIBLE_PROFILES = [
@@ -313,8 +309,8 @@ class _NodeReader(yaml.constructor.SafeConstructor):
 def load_fixture(text: str, name: str = "<fixture>") -> CaseFixture:
     """Parse one fixture document; all rationals exact, all ids resolved.
 
-    Every ``ParseError`` (``DanglingReference`` included) names the fixture;
-    malformed YAML, a repeated key included, also gives its line and column.
+    Every ``ParseError`` names the fixture; malformed YAML, a repeated key
+    included, also gives its line and column.
     """
     loader = YAML_LOADER(text)
     try:
@@ -327,15 +323,13 @@ def load_fixture(text: str, name: str = "<fixture>") -> CaseFixture:
     try:
         return _build_fixture(walk(FIXTURE, doc), name)
     except ParseError as exc:
-        raise type(exc)(f"{name}: {exc}") from exc
+        raise ParseError(f"{name}: {exc}") from exc
 
 
 def _scalar(convert, value, where: str):
     """``convert(value)``, with a bad value raised as a located ParseError."""
     try:
         return convert(value)
-    except KeyError as exc:   # str() of a KeyError quotes its message
-        raise ParseError(f"{where}: {exc.args[0]}") from exc
     except (ValueError, TypeError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
@@ -375,9 +369,9 @@ def _assumptions(items, variables, ctx) -> tuple[Assumption, ...]:
 
 
 def _declared(ids, value, what: str, where: str):
-    """``value`` when ``ids`` holds it, else a DanglingReference at ``where``."""
+    """``value`` when ``ids`` holds it, else a ParseError at ``where``."""
     if value not in ids:
-        raise DanglingReference(f"{where}: unknown {what} {value!r}")
+        raise ParseError(f"{where}: unknown {what} {value!r}")
     return value
 
 
@@ -432,9 +426,6 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
     if "witness" in doc:
         wspec = doc["witness"]
         tower = wspec.get("tower", ())
-        if wspec.get("tangencies") and not tower:
-            raise ParseError("witness.tangencies: declared tangencies need a blowup tower: "
-                             + ", ".join(wspec["tangencies"]))
         _unique((step["name"] for step in tower), "witness.tower", "name")
         nodes = {f"{pid}:{node}" for pid, ade in points.items() for node in ade.nodes}
         steps, earlier = [], set()
@@ -452,7 +443,7 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
                 e = t["exceptional"]
                 node = e if ":" in e else f"{pid}:{e}"
                 if e not in earlier and node not in nodes:
-                    raise DanglingReference(f"{where}.exceptional: unknown divisor {e!r}")
+                    raise ParseError(f"{where}.exceptional: unknown divisor {e!r}")
                 exceptionals.append(e if e in earlier else node)
             steps.append(TowerStep(step["name"], tuple(strict), tuple(exceptionals)))
             earlier.add(step["name"])
@@ -617,15 +608,12 @@ def validate_fixture(fixture: CaseFixture) -> list[str]:
                     f"equivalences[{i}]: -K.{cid} = {format_rat(total)} from declared "
                     f"incidences, expected {x.degree}")
 
-    if fixture.witness is not None:
-        wb = fixture.witness.boundary
-        if any(m < 0 for m, _ in wb.terms):
-            findings.append("witness: negative multiplicity")
-        if wb.degree(curve_map) != 3:
-            findings.append("witness: boundary degree is not 3")
-        if model.equivalences and not any(
-                sorted(wb.terms) == sorted(eq.terms) for eq in model.equivalences):
-            findings.append("witness: boundary does not match any declared equivalence")
+    # Only the equivalences are checked for degree, sign and -K above; every
+    # other divisor a fixture states must be one of them.
+    declared = {tuple(sorted(eq.terms)) for eq in model.equivalences}
+    witness = fixture.witness
+    if witness is not None and tuple(sorted(witness.boundary.terms)) not in declared:
+        findings.append("witness: boundary does not match any declared equivalence")
 
     group = fixture.group
     if group is not None:
@@ -636,9 +624,9 @@ def validate_fixture(fixture: CaseFixture) -> list[str]:
             findings.append("group: no line to act on")
         findings.extend(f"group: generator {name} is not a permutation of the "
                         f"{len(lines)} lines" for name in bad)
-        degree = BoundaryDivisor(group.invariant_divisor).degree(curve_map)
-        if degree != 3:   # the bound 1 holds for an anticanonical divisor only
-            findings.append(f"group: invariant divisor has degree {format_rat(degree)}, not 3")
+        if tuple(sorted(group.invariant_divisor)) not in declared:
+            # the bound 1 holds for an effective anticanonical divisor only
+            findings.append("group: invariant divisor does not match any declared equivalence")
         if not any(m == 1 for m, _ in group.invariant_divisor):
             findings.append("group: invariant divisor has no component of multiplicity 1")
         if not bad:

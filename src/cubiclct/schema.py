@@ -148,8 +148,7 @@ FIXTURE = Record({
         "tower?": ListOf(Record({
             "name": string, "point": string,
             "through": ListOf(OneOf(Record({"curve": string, "mult?": integer}),
-                                    Record({"exceptional": string})))})),
-        "tangencies?": ListOf(string)}),
+                                    Record({"exceptional": string})))}))}),
     "script?": Record({
         "tau_floor": rational,
         "variables": ListOf(string),

@@ -17,7 +17,7 @@ from fractions import Fraction as Rat
 from math import gcd
 from operator import mul
 
-from cubiclct.linsys import LinearSystem, Row, UnknownVariable
+from cubiclct.linsys import LinearSystem, Row
 from cubiclct.qexact import parse_rat
 
 _TERM_RE = re.compile(
@@ -73,7 +73,7 @@ def parse_row_by_fractions(expr: str, variables: tuple[str, ...], provenance: st
         rel = ">=" if rel == "<=" else ">"
     unknown = set(coeffs) - set(variables)
     if unknown:
-        raise UnknownVariable(f"{sorted(unknown)} not among variables {variables}")
+        raise ValueError(f"{sorted(unknown)} not among variables {variables}")
     return Row(tuple(coeffs.get(v, Rat(0)) for v in variables), constant, rel, provenance)
 
 

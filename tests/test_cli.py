@@ -1,13 +1,17 @@
 import copy
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction as Rat
 from pathlib import Path
 
 import pytest
 import yaml
 
+import cubiclct
 from cubiclct import schema
 from cubiclct.cli import main
 from cubiclct.linsys import LinearSystem, parse_row
@@ -614,20 +618,32 @@ def test_internal_error_is_not_reported_as_usage_error(capsys, monkeypatch):
      "invalid fixture: cayley: group: image order 24 does not divide declared order 25"),
     ("cayley", 'invariant_divisor: [["1", T]]',
      'invariant_divisor: [["1/2", T], ["1/2", M1], ["1/2", M2], ["1/2", M3]]', "equivariant",
-     "invalid fixture: cayley: group: invariant divisor has no component of multiplicity 1"),
+     "invalid fixture: cayley: group: invariant divisor does not match any declared equivalence"
+     "\ninvalid fixture: cayley: group: invariant divisor has no component of multiplicity 1"),
     ("cayley", 'invariant_divisor: [["1", T]]',
      'invariant_divisor: [["1", T], ["1", M1], ["1", M2], ["1", M3]]', "equivariant",
-     "invalid fixture: cayley: group: invariant divisor has degree 6, not 3"),
+     "invalid fixture: cayley: group: invariant divisor does not match any declared equivalence"),
+    # degree 3, invariant and T of multiplicity 1, but not effective: it once certified KE
+    ("cayley", 'invariant_divisor: [["1", T]]',
+     'invariant_divisor: [["1", T], ["1", L12], ["1", L13], ["1", L14], ["1", L23], ["1", L24], '
+     '["1", L34], ["-2", M1], ["-2", M2], ["-2", M3]]', "equivariant",
+     "invalid fixture: cayley: group: invariant divisor does not match any declared equivalence"),
     ("cayley", 'invariant_divisor: [["1", T]]', 'invariant_divisor: [["1", T], ["1", T]]',
      "equivariant", "error: cayley: group.invariant_divisor[1]: repeated entry 'T'"),
+    # the witness, like the invariant divisor, is checked only as a declared equivalence
+    ("a5", 'divisor: [["3", L3]]', 'divisor: [["4", L3], ["-1", L2]]', "case",
+     "invalid fixture: a5: witness: boundary does not match any declared equivalence"),
+    ("a5", 'equivalences:\n  - [["3", L3]]\n  - [["1", L1], ["1", C1]]\n'
+     '  - [["1", L3], ["1", C3]]\n', "", "case", "invalid fixture: a5: witness: boundary does not match any declared equivalence"),
     ("cayley", "L12: L12, L13: L23", "L12: L13, L13: L23", "equivariant",
      "invalid fixture: cayley: group: generator swap_xy is not a permutation of the 9 lines"),
     ("fiber_e6", "w: 6}", "w: -6}", "fiberwise",
      "invalid fixture: fiber_e6: fiberwise: map power of w is negative (-6)"),
     ("fiber_e6", 'lct_pair: ["1/6", "2/3"]', 'lct_pair: ["0", "2/3"]', "fiberwise",
      "invalid fixture: fiber_e6: fiberwise: lct_pair[0] = 0 is not positive"),
-], ids=["tower", "group order", "no reduced component", "divisor degree", "repeated curve",
-        "not a permutation", "negative power", "zero lct"])
+], ids=["tower", "group order", "no reduced component", "divisor degree", "not effective",
+        "repeated curve", "witness not effective", "no equivalence", "not a permutation",
+        "negative power", "zero lct"])
 def test_named_input_error_exits_two(capsys, tmp_path, name, old, new, command, message):
     # the loader locates a bad reference, and validate_fixture reports data
     # that contradict the fixture; each names the fixture
@@ -649,17 +665,18 @@ def test_group_fixture_with_no_line_is_an_input_error(capsys, tmp_path):
     code, out, err = run(capsys, "--fixtures", str(tmp_path), "equivariant", "xyzt3")
     assert (code, out) == (2, "")
     assert err.splitlines() == ["invalid fixture: xyzt3: group: no line to act on",
-                                "invalid fixture: xyzt3: group: invariant divisor has "
-                                "degree 6, not 3"]
+                                "invalid fixture: xyzt3: group: invariant divisor does not "
+                                "match any declared equivalence"]
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["case", "cayley"], "fixture 'cayley' has no case script; try `cubiclct equivariant cayley`"),
+    (["case", "cayley"],
+     "error: fixture 'cayley' has no case script; try `cubiclct equivariant cayley`"),
     (["case", "fiber_e6"],
-     "fixture 'fiber_e6' has no case script; try `cubiclct fiberwise fiber_e6`"),
-    (["case", "bare"], "fixture 'bare' has no case script"),
-    (["equivariant", "a5"], "fixture 'a5' has no group data"),
-    (["fiberwise", "cayley"], "fixture 'cayley' has no fiberwise data"),
+     "error: fixture 'fiber_e6' has no case script; try `cubiclct fiberwise fiber_e6`"),
+    (["case", "bare"], "error: fixture 'bare' has no case script"),
+    (["equivariant", "a5"], "error: fixture 'a5' has no group data"),
+    (["fiberwise", "cayley"], "error: fixture 'cayley' has no fiberwise data"),
 ], ids=["case of a group", "case of a fiberwise", "case of neither", "equivariant",
         "fiberwise"])
 def test_command_without_its_data_names_the_fixture(capsys, tmp_path, argv, message):
@@ -669,6 +686,52 @@ def test_command_without_its_data_names_the_fixture(capsys, tmp_path, argv, mess
     (tmp_path / "bare.yaml").write_text("name: bare\nprofile: [A1]\npoints: {O: {type: A1}}\n")
     code, out, err = run(capsys, "--fixtures", str(tmp_path), *argv)
     assert (code, out, err) == (2, "", message + "\n")
+
+
+def test_fixture_that_is_not_utf8_is_an_error_that_names_the_file(capsys, tmp_path):
+    fixture = tmp_path / "a5.yaml"
+    fixture.write_bytes(b"name: a5\nprofile: [A5]\n# \xff\n")
+    message = (f"error: {fixture}: 'utf-8' codec can't decode byte 0xff in position 25: "
+               "invalid start byte\n")
+    assert run(capsys, "case", str(fixture)) == (2, "", message)
+    assert run(capsys, "--fixtures", str(tmp_path), "case", "a5") == (2, "", message)
+
+
+def test_fixtures_must_name_a_directory_that_holds_a_case_fixture(capsys, tmp_path):
+    # each once printed the paper-asserted table and exited 0
+    missing, file = tmp_path / "none", tmp_path / "a5.yaml"
+    _fixture_copy(tmp_path, "a5")
+    for argv, message in [
+            (["--fixtures", str(missing), "table"], f"--fixtures {missing}: not a directory"),
+            (["--fixtures", str(missing), "case", "A5"], f"--fixtures {missing}: not a directory"),
+            (["--fixtures", str(file), "table"], f"--fixtures {file}: not a directory")]:
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
+    file.unlink()
+    assert run(capsys, "--fixtures", str(tmp_path), "table") == (
+        2, "", f"error: no case fixture under {tmp_path}\n")
+    _fixture_copy(tmp_path, "cayley")   # a fixture, but not a case fixture
+    assert run(capsys, "--fixtures", str(tmp_path), "table") == (
+        2, "", f"error: no case fixture under {tmp_path}\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_one_and_prints_nothing(unbuffered):
+    # the reader of stdout is gone before the command starts; unbuffered, this
+    # once printed "error: [Errno 32] Broken pipe" and exited 2, as for bad input
+    src = str(Path(cubiclct.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "cubiclct.cli", "equivariant", "cayley",
+                               "--json"], stdout=write, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 def test_malformed_system_file_or_pullback_argument_is_input_error(capsys, tmp_path):
@@ -692,6 +755,8 @@ def test_malformed_system_file_or_pullback_argument_is_input_error(capsys, tmp_p
         files[label] = tmp_path / f"{label}.json"
         files[label].write_text(json.dumps(data))
     (tmp_path / "broken.json").write_text("{")
+    (tmp_path / "latin.json").write_bytes(b'{"variables": ["\xe9"], "rows": []}')
+    (tmp_path / "folder.json").mkdir()
     for argv, message in [
             (["certify", str(files["no_rows"])], "missing key 'rows'"),
             (["certify", str(files["bad_rat"])], "not a rational literal: '1/x'"),
@@ -701,8 +766,15 @@ def test_malformed_system_file_or_pullback_argument_is_input_error(capsys, tmp_p
             (["replay", str(files["repeated"]), str(files["cert"])],
              "variables: expected a list of distinct strings, got ['x', 'x']"),
             (["certify", str(files["rows_mapping"])], "rows: expected a list, got {}"),
-            (["certify", str(tmp_path / "broken.json")], "error: Expecting property name"),
-            (["certify", str(tmp_path / "absent.json")], "No such file"),
+            # a read or JSON error names its file once
+            (["certify", str(tmp_path / "broken.json")],
+             f"error: {tmp_path / 'broken.json'}: Expecting property name"),
+            (["certify", str(tmp_path / "absent.json")],
+             f"error: {tmp_path / 'absent.json'}: No such file or directory\n"),
+            (["certify", str(tmp_path / "folder.json")],
+             f"error: {tmp_path / 'folder.json'}: Is a directory\n"),
+            (["certify", str(tmp_path / "latin.json")],
+             f"error: {tmp_path / 'latin.json'}: 'utf-8' codec can't decode byte 0xe9"),
             (["replay", str(files["good"]), str(files["cert"])],
              "multiplier count does not match row count"),
             (["replay", str(files["good"]), str(files["no_rows"])], "missing key 'derived'"),
@@ -713,7 +785,9 @@ def test_malformed_system_file_or_pullback_argument_is_input_error(capsys, tmp_p
             (["replay", str(files["good"]), str(files["string_derived"])],
              f"{files['string_derived']}: derived.coeffs: expected a list, got '00'"),
             (["pullback", "a5", "L9", "O"], "a5: no curve or point 'L9'"),
-            (["pullback", "a5", "L3", "Q"], "a5: no curve or point 'Q'")]:
+            (["pullback", "a5", "L3", "Q"], "a5: no curve or point 'Q'"),
+            (["pullback", "cayley", "M1", "O1"],
+             "error: curve M1 does not meet the exceptional locus over O1\n")]:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert message in err, (argv, err)

@@ -69,9 +69,8 @@ witness:
   divisor: [["1", L1], ["1", C1]]
   tangencies: ["L1, C1 and E1 meet at one point of the resolution"]
 """
-    # the loader refuses it, so no witness bound is computed on a non-SNC model
-    with pytest.raises(ParseError, match=r"^doc: witness\.tangencies: declared tangencies "
-                                         r"need a blowup tower: L1, C1 and E1 meet"):
+    # no such key: a tangency is stated by a blowup tower, never beside the divisor
+    with pytest.raises(ParseError, match=r"^doc: witness: unknown key 'tangencies'$"):
         load_fixture(doc, name="doc")
 
 

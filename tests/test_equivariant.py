@@ -85,9 +85,11 @@ def test_no_reduced_component():
 
 
 def test_divisor_moved_by_a_generator_is_a_finding_that_names_it():
-    # only line terms are compared; cycle_xyz and swap_xy move L1 + 2*L2, zeta_t does not
+    # only line terms are compared; cycle_xyz and swap_xy move L1 + 2*L2, zeta_t does not.
+    # L1 + 2*L2 is no declared equivalence either, which is its own finding.
     fixture = _with_group(XYZT3, invariant_divisor=((Rat(1), "L1"), (Rat(2), "L2")))
     assert validate_fixture(fixture) == [
+        "group: invariant divisor does not match any declared equivalence",
         "group: invariant divisor moves under generator swap_xy",
         "group: invariant divisor moves under generator cycle_xyz"]
 

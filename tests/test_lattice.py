@@ -4,8 +4,7 @@ from fractions import Fraction as Rat
 import pytest
 
 from cubiclct import qexact
-from cubiclct.lattice import (AdeType, TowerStep,
-                              UnsupportedType, cartan_matrix, exceptional_nef_rows,
+from cubiclct.lattice import (AdeType, TowerStep, cartan_matrix, exceptional_nef_rows,
                               inverse_cartan, pullback_coefficients, tower_log_discrepancy)
 from cubiclct.qexact import solve_linear_system
 from oracles import positive_definite_by_expansion
@@ -15,8 +14,10 @@ ALL_TYPES = [AdeType("A", n) for n in range(1, 7)] + \
 
 
 def test_ade_type_range():
-    for label in ["E7", "E8", "A0", "D3"]:
-        with pytest.raises(UnsupportedType):
+    for label, message in [("E7", "only E6 occurs on cubic surfaces"),
+                           ("E8", "only E6 occurs on cubic surfaces"),
+                           ("A0", "A_n needs rank >= 1"), ("D3", "D_n needs rank >= 4")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
             AdeType.parse(label)
     assert AdeType.parse("D5") == AdeType("D", 5)
     assert AdeType("D", 4).nodes == ("E1", "E2", "E3", "E4")

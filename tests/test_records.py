@@ -12,8 +12,8 @@ import pytest
 
 import cubiclct
 from cubiclct.cli import fixture_dir
-from cubiclct.linsys import DimensionMismatch, LinearSystem, Row
-from cubiclct.model import load_fixture
+from cubiclct.linsys import LinearSystem, Row
+from cubiclct.model import ParseError, load_fixture
 
 FIXTURE_NAMES = sorted(p.stem for p in Path(str(fixture_dir())).glob("*.yaml"))
 
@@ -52,5 +52,5 @@ def test_loaded_fixture_fields_are_read_only():
 def test_row_and_system_check_themselves():
     with pytest.raises(ValueError, match="bad relation '<'"):
         Row((Rat(1),), Rat(0), "<")
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ParseError, match="^row width does not match variable count$"):
         LinearSystem(("x", "y"), (Row((Rat(1),), Rat(0), ">="),))
