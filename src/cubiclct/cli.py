@@ -40,20 +40,24 @@ def fixture_dir(override: str | None = None) -> Path:
     bundled with the package."""
     if not override:
         return Path(str(resources.files("cubiclct") / "fixtures"))
-    if not Path(override).is_dir():
+    if not _os(Path.is_dir, override):
         raise ParseError(f"--fixtures {override}: not a directory")
     return Path(override)
 
 
-def _read(path) -> str:
-    """The text of the file at ``path``; a file that cannot be read or is not
-    UTF-8 is a ParseError that names it."""
+def _os(call, path):
+    """``call(Path(path))``; an OSError, or a file that is not UTF-8, is a
+    ParseError that names ``path``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return call(Path(path))
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def _read(path) -> str:
+    return _os(functools.partial(Path.read_text, encoding="utf-8"), path)
 
 
 def _load(path: Path) -> CaseFixture:
@@ -102,7 +106,7 @@ def _open_fixture(token: str, directory: Path) -> CaseFixture:
     ``<directory>/<token>.yaml``, else the case fixture of profile ``token``,
     the file that ``_case_stem`` names.  Each step reads one file."""
     for path in (Path(token), directory / f"{token}.yaml"):
-        if path.is_file():
+        if _os(Path.is_file, path):
             fixture = _load(path)
             break
     else:
@@ -111,7 +115,8 @@ def _open_fixture(token: str, directory: Path) -> CaseFixture:
         except ValueError:
             key = token
         path = directory / f"{_case_stem(key)}.yaml"
-        fixture = case_fixtures({path.stem: _load(path)}).get(key) if path.is_file() else None
+        fixture = (case_fixtures({path.stem: _load(path)}).get(key)
+                   if _os(Path.is_file, path) else None)
         if fixture is None:
             raise ParseError(f"no fixture named or matching {token!r} under {directory}")
     _check_valid([fixture])

@@ -623,7 +623,7 @@ def test_internal_error_is_not_reported_as_usage_error(capsys, monkeypatch):
     ("cayley", 'invariant_divisor: [["1", T]]',
      'invariant_divisor: [["1", T], ["1", M1], ["1", M2], ["1", M3]]', "equivariant",
      "invalid fixture: cayley: group: invariant divisor does not match any declared equivalence"),
-    # degree 3, invariant and T of multiplicity 1, but not effective: it once certified KE
+    # degree 3, invariant and T of multiplicity 1, but not effective: no KE certificate
     ("cayley", 'invariant_divisor: [["1", T]]',
      'invariant_divisor: [["1", T], ["1", L12], ["1", L13], ["1", L14], ["1", L23], ["1", L24], '
      '["1", L34], ["-2", M1], ["-2", M2], ["-2", M3]]', "equivariant",
@@ -698,7 +698,7 @@ def test_fixture_that_is_not_utf8_is_an_error_that_names_the_file(capsys, tmp_pa
 
 
 def test_fixtures_must_name_a_directory_that_holds_a_case_fixture(capsys, tmp_path):
-    # each once printed the paper-asserted table and exited 0
+    # no table of paper-asserted rows without a case fixture to check them from
     missing, file = tmp_path / "none", tmp_path / "a5.yaml"
     _fixture_copy(tmp_path, "a5")
     for argv, message in [
@@ -714,10 +714,22 @@ def test_fixtures_must_name_a_directory_that_holds_a_case_fixture(capsys, tmp_pa
         2, "", f"error: no case fixture under {tmp_path}\n")
 
 
+def test_path_that_cannot_be_examined_is_input_error(capsys, tmp_path):
+    # a name longer than the system allows: the probe for the file raises
+    # ENAMETOOLONG, which is input, not a failed verification
+    long = "a" * 300
+    for argv, path in [(["case", long], long),
+                       (["pullback", long, "L3", "O"], long),
+                       (["--fixtures", str(tmp_path / long), "table"], str(tmp_path / long)),
+                       (["--fixtures", str(tmp_path / long), "case", "A5"],
+                        str(tmp_path / long))]:
+        assert run(capsys, *argv) == (2, "", f"error: {path}: File name too long\n"), argv
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exits_one_and_prints_nothing(unbuffered):
-    # the reader of stdout is gone before the command starts; unbuffered, this
-    # once printed "error: [Errno 32] Broken pipe" and exited 2, as for bad input
+    # the reader of stdout is gone before the command starts: a report that
+    # cannot be written is a failed verification, not an input error
     src = str(Path(cubiclct.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
