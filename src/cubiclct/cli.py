@@ -40,12 +40,12 @@ def fixture_dir(override: str | None = None) -> Path:
     bundled with the package."""
     if not override:
         return Path(str(resources.files("cubiclct") / "fixtures"))
-    if not _os(Path.is_dir, override):
+    if not _at_path(Path.is_dir, override):
         raise ParseError(f"--fixtures {override}: not a directory")
     return Path(override)
 
 
-def _os(call, path):
+def _at_path(call, path):
     """``call(Path(path))``; an OSError, or a file that is not UTF-8, is a
     ParseError that names ``path``."""
     try:
@@ -57,7 +57,7 @@ def _os(call, path):
 
 
 def _read(path) -> str:
-    return _os(functools.partial(Path.read_text, encoding="utf-8"), path)
+    return _at_path(functools.partial(Path.read_text, encoding="utf-8"), path)
 
 
 def _load(path: Path) -> CaseFixture:
@@ -106,7 +106,7 @@ def _open_fixture(token: str, directory: Path) -> CaseFixture:
     ``<directory>/<token>.yaml``, else the case fixture of profile ``token``,
     the file that ``_case_stem`` names.  Each step reads one file."""
     for path in (Path(token), directory / f"{token}.yaml"):
-        if _os(Path.is_file, path):
+        if _at_path(Path.is_file, path):
             fixture = _load(path)
             break
     else:
@@ -116,7 +116,7 @@ def _open_fixture(token: str, directory: Path) -> CaseFixture:
             key = token
         path = directory / f"{_case_stem(key)}.yaml"
         fixture = (case_fixtures({path.stem: _load(path)}).get(key)
-                   if _os(Path.is_file, path) else None)
+                   if _at_path(Path.is_file, path) else None)
         if fixture is None:
             raise ParseError(f"no fixture named or matching {token!r} under {directory}")
     _check_valid([fixture])
