@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction as Rat
@@ -9,7 +10,8 @@ from cubiclct import linsys
 from cubiclct.linsys import (Feasible, Infeasible, InfeasibilityCertificate, LinearSystem,
                              Row, SelfCheckFailed, check_feasibility, parse_row,
                              replay_certificate)
-from cubiclct.cli import fixture_dir
+from cubiclct.cli import case_fixtures, fixture_dir, load_all_fixtures
+from cubiclct.engine import materialize_leaves
 from cubiclct.model import ParseError, ScriptRow, load_fixture
 from oracles import feasible_by_vertex_enumeration, parse_row_by_fractions
 
@@ -612,3 +614,43 @@ def test_parse_row_agrees_with_fraction_oracle_on_random_texts():
     # malformed texts and unknown variables: both ValueError, told apart by message
     assert kinds == {">=", ">", (ValueError, False), (ValueError, True)}
 
+
+
+# --- the kernel's exact outputs, pinned -------------------------------------
+
+def _pinned_corpus_system(rng):
+    """1-5 variables, 1-10 rows; rational entries, about a third of them zero,
+    so that levels with one empty side and zero fan-outs occur."""
+    variables = tuple(f"x{i}" for i in range(rng.randint(1, 5)))
+
+    def entry(low, high):
+        return Rat(0) if rng.random() < 0.3 else Rat(rng.randint(low, high), rng.randint(1, 6))
+
+    return LinearSystem(variables, tuple(
+        Row(tuple(entry(-4, 4) for _ in variables), entry(-5, 5), rng.choice((">", ">=")))
+        for _ in range(rng.randint(1, 10))))
+
+
+def _outputs_digest(systems):
+    return hashlib.sha256("\n".join(repr(check_feasibility(s)) for s in systems)
+                          .encode()).hexdigest()
+
+
+def test_kernel_outputs_are_pinned_on_a_random_corpus():
+    # every witness coordinate and certificate multiplier, as repr prints it:
+    # a change to the kernel that moves any of them changes this digest
+    rng = random.Random(3100)
+    systems = [_pinned_corpus_system(rng) for _ in range(300)]
+    verdicts = [isinstance(check_feasibility(s), Feasible) for s in systems]
+    assert 50 < sum(verdicts) < 250   # both verdicts are well represented
+    assert _outputs_digest(systems) == \
+        "d3df628e35fdfdb7f55541b28f058f3d9aed5b8ce4850fbcc722a6d63a0e29c0"
+
+
+def test_kernel_outputs_are_pinned_on_the_bundled_leaves():
+    cases = case_fixtures(load_all_fixtures(fixture_dir()))
+    systems = [LinearSystem(f.script.variables, tuple(r.row for r in leaf.rows))
+               for _, f in sorted(cases.items()) for leaf in materialize_leaves(f)]
+    assert len(systems) == 117
+    assert _outputs_digest(systems) == \
+        "ef3ada3c45075cee04dfbffae16f532dfb1eb41a848813c46d927acad6708ad8"
