@@ -13,7 +13,7 @@ over the integers:
 - one table keyed by coefficient direction (the coefficients over their
   gcd, computed once per row) is carried across the levels: eliminating
   ``x_k`` takes out the rows that mention it, and each new combination is
-  offered to it as it is made.  The table keeps only the tightest row per
+  inserted into it as it is made.  The table keeps only the tightest row per
   direction, which collapses the duplicates that make FM blow up; an
   all-zero combination is instead tested for a contradiction at once;
 - Chernikov's rule (S. N. Chernikov, "The convolution of finite systems of
@@ -43,11 +43,13 @@ failure raises ``SelfCheckFailed``.
 
 The certificate walk and the witness back-substitution run in integers over
 one common denominator; a ``Fraction`` is built only for each nonzero
-multiplier, witness coordinate and variable value they emit.  The replay and
-the witness check sum in integers too, from each row's own numerators and
-denominators, cached once per Row as one flat tuple (``Row.integer_ratios``);
-they never read the kernel's scaled rows (``primitive``, ``direction``), so
-they do not depend on the scaling they check.
+multiplier and witness coordinate they emit: the witness walk carries each
+level's value as an integer pair in lowest terms, so it builds no
+``Fraction`` per level.  The replay and the witness check sum in integers
+too, from each row's own numerators and denominators, cached once per Row as
+one flat tuple (``Row.integer_ratios``); they never read the kernel's scaled
+rows (``primitive``, ``direction``), so they do not depend on the scaling
+they check.
 
 Systems are tiny (at most ~8 variables), which is why Fourier-Motzkin wins
 over an exact simplex here: certificates fall out of the trace for free.
@@ -60,6 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Rat
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from cubiclct.qexact import format_rat
@@ -305,49 +308,60 @@ def check_feasibility(sys: LinearSystem) -> Feasible | Infeasible:
     # The rows of the current level, one per direction.  ``g*key . x >= c``
     # reads ``key . x >= c/g``, so of two rows on one key the one with the
     # larger ``c/g`` implies the other; on a tie the strict row implies the
-    # non-strict one.  A key keeps its first-insertion position.
+    # non-strict one.  The kept row takes the AND of both histories (see
+    # _IntRow), and a key keeps its first-insertion position.
     table: dict[tuple[int, ...], _IntRow] = {}
-
-    def offer(key: tuple[int, ...], row: _IntRow) -> None:
-        held = table.get(key)
-        if held is not None:
-            # the kept row takes the AND of both histories (see _IntRow)
-            mine, theirs, hist = row[0] * held[3], held[0] * row[3], held[4] & row[4]
-            if mine < theirs or (mine == theirs and (held[1] or not row[1])):
-                row = held
-            row = (*row[:4], hist)
-        table[key] = row
-
     for i, row in enumerate(sys.rows):
         (key, g), constant, strict = row.direction, row.primitive[1], row.relation == ">"
-        if g:
-            offer(key, (constant, strict, i, g, 1 << i))
-        elif constant >= 0 if strict else constant > 0:
-            return _self_checked(sys, Infeasible(_certificate(sys, parents, i)))
+        if not g:
+            if constant >= 0 if strict else constant > 0:
+                return _self_checked(sys, Infeasible(_certificate(sys, parents, i)))
+            continue
+        held = table.get(key)
+        if held is None:
+            table[key] = (constant, strict, i, g, 1 << i)
+        else:
+            mine, theirs = constant * held[3], held[0] * g
+            if mine < theirs or (mine == theirs and (held[1] or not strict)):
+                table[key] = (*held[:4], held[4] & (1 << i))
+            else:
+                table[key] = (constant, strict, i, g, held[4] & (1 << i))
 
-    # (variable index, rows mentioning it at elimination time) for the witness
-    levels: list[tuple[int, list[tuple[tuple[int, ...], _IntRow]]]] = []
+    # (variable index, rows bounding it from below, rows bounding it from
+    # above) at elimination time, for the witness
+    levels: list[tuple[int, list[tuple[tuple[int, ...], _IntRow]],
+                       list[tuple[tuple[int, ...], _IntRow]]]] = []
     remaining = list(range(len(variables)))
     while remaining and table:  # variables left once the table empties stay 0
         # one sweep of the table's columns: the least pos*neg fan-out, ties
-        # broken by position (only a smaller fan-out replaces ``k``)
-        columns, least = list(zip(*table)), None
-        for j in remaining:
-            column = columns[j]
-            plus = sum(map(_ZERO_LT, column))
-            fanout = plus * (len(column) - plus - column.count(0))
-            if least is None or fanout < least:
-                k, least = j, fanout
+        # broken by position (only a smaller fan-out replaces ``k``, so the
+        # first zero ends the sweep)
+        k = remaining[0]
+        if len(remaining) > 1:
+            columns, least = list(zip(*table)), None
+            for j in remaining:
+                column = columns[j]
+                plus = sum(map(_ZERO_LT, column))
+                fanout = plus * (len(column) - plus - column.count(0))
+                if least is None or fanout < least:
+                    k, least = j, fanout
+                    if not fanout:
+                        break
         remaining.remove(k)
-        level = [(key, row) for key, row in table.items() if key[k]]
-        levels.append((k, level))
-        for key, _ in level:
+        pos, neg = [], []
+        for item in table.items():
+            c = item[0][k]
+            if c:
+                (pos if c > 0 else neg).append(item)
+        levels.append((k, pos, neg))
+        for key, _ in pos:
             del table[key]
-        neg = [(key, row) for key, row in level if key[k] < 0]
+        for key, _ in neg:
+            del table[key]
+        if not (pos and neg):
+            continue
         most = len(levels) + 1   # Chernikov: at most s+1 input rows after s eliminations
-        for p_key, (p_const, p_strict, p_node, p_g, p_hist) in level:
-            if p_key[k] < 0:
-                continue
+        for p_key, (p_const, p_strict, p_node, p_g, p_hist) in pos:
             a = p_g * p_key[k]
             for n_key, (n_const, n_strict, n_node, n_g, n_hist) in neg:
                 hist = p_hist | n_hist
@@ -363,42 +377,59 @@ def check_feasibility(sys: LinearSystem) -> Feasible | Infeasible:
                 d = gcd(g, constant) or 1
                 parents.append((p_node, ma, n_node, mb, d))
                 strict = p_strict or n_strict
-                if g:
-                    offer(tuple(coeffs) if g == 1 else tuple(c // g for c in coeffs),
-                          (constant // d, strict, len(parents) - 1, g // d, hist))
-                elif constant >= 0 if strict else constant > 0:
-                    return _self_checked(
-                        sys, Infeasible(_certificate(sys, parents, len(parents) - 1)))
+                if not g:
+                    if constant >= 0 if strict else constant > 0:
+                        return _self_checked(
+                            sys, Infeasible(_certificate(sys, parents, len(parents) - 1)))
+                    continue
+                key = tuple(coeffs) if g == 1 else tuple(c // g for c in coeffs)
+                constant, g = constant // d, g // d
+                held = table.get(key)
+                if held is None:
+                    table[key] = (constant, strict, len(parents) - 1, g, hist)
+                else:
+                    mine, theirs = constant * held[3], held[0] * g
+                    if mine < theirs or (mine == theirs and (held[1] or not strict)):
+                        table[key] = (*held[:4], held[4] & hist)
+                    else:
+                        table[key] = (constant, strict, len(parents) - 1, g, held[4] & hist)
 
     # Feasible: rebuild a witness in reverse elimination order, as integer
     # numerators over one common denominator.  A row bounds x_k by num/q,
     # from below if q > 0 and from above if q < 0; on either side the larger
-    # num/|q| is the tighter bound, compared by cross-multiplying.
+    # num/|q| is the tighter bound, compared by cross-multiplying, and of
+    # equal bounds a strict one wins, so the order of a side's rows does not
+    # matter.  Each value is an integer pair in lowest terms; a Fraction is
+    # built only for each returned coordinate.
     nums, den = [0] * len(variables), 1
-    for k, level in reversed(levels):
-        tightest: dict[bool, tuple[int, int, bool]] = {}  # below? -> (num, |q|, strict)
-        for key, (constant, strict, _, g, _) in level:
-            # nums[k] is still 0, so x_k drops out of the sum
-            rest = sum(c * x for c, x in zip(key, nums) if c and x)
-            num, q = constant * den - g * rest, g * den * key[k]
-            held = tightest.get(q > 0)
-            if held is None or (cross := num * held[1] - held[0] * abs(q)) > 0 or (
-                    cross == 0 and strict):
-                tightest[q > 0] = (num, abs(q), strict)
-        lower, upper = tightest.get(True), tightest.get(False)
+    for k, pos, neg in reversed(levels):
+        bounds = []   # (num, |q|, strict) of the tightest row on each side, or None
+        for side in (pos, neg):
+            best = None
+            for key, (constant, strict, _, g, _) in side:
+                # nums[k] is still 0, so x_k drops out of the sum
+                rest = sum(map(mul, key, nums))
+                num, q = constant * den - g * rest, g * den * abs(key[k])
+                if best is None or (cross := num * best[1] - best[0] * q) > 0 or (
+                        cross == 0 and strict):
+                    best = (num, q, strict)
+            bounds.append(best)
+        lower, upper = bounds
         if lower and upper:
             # the midpoint: FM guarantees the interval is nonempty
-            value = Rat(lower[0] * upper[1] - upper[0] * lower[1], 2 * lower[1] * upper[1])
+            vn, vd = lower[0] * upper[1] - upper[0] * lower[1], 2 * lower[1] * upper[1]
         elif lower:
-            value = Rat(lower[0] + lower[1] if lower[2] else lower[0], lower[1])
+            vn, vd = lower[0] + lower[1] if lower[2] else lower[0], lower[1]
         elif upper:
-            value = Rat(-upper[0] - upper[1] if upper[2] else -upper[0], upper[1])
+            vn, vd = -upper[0] - upper[1] if upper[2] else -upper[0], upper[1]
         else:
-            value = Rat(0)
-        t = value.denominator // gcd(den, value.denominator)
+            continue
+        h = gcd(vn, vd)
+        vn, vd = vn // h, vd // h
+        t = vd // gcd(den, vd)
         if t > 1:
             nums, den = [x * t for x in nums], den * t
-        nums[k] = value.numerator * (den // value.denominator)
+        nums[k] = vn * (den // vd)
     witness = {v: Rat(x, den) for v, x in zip(variables, nums)}
     return _self_checked(sys, Feasible(witness))
 
