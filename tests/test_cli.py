@@ -500,6 +500,21 @@ def test_case_accepts_fixture_path(capsys, tmp_path):
     assert "omega = 1/3" in out
 
 
+def test_case_with_some_feasible_leaves_exits_one(capsys, tmp_path):
+    # a5 without the C3 row: three leaves turn feasible and six stay refuted;
+    # every leaf must hold, not some
+    from cubiclct.cli import fixture_dir
+    text = Path(str(fixture_dir() / "a5.yaml")).read_text()
+    row = '    - {row: "2 - a2 >= 0", note: "C3 general off Supp(D): C3bar.Dbar = 2 - a2 >= 0"}\n'
+    assert text.count(row) == 1
+    path = tmp_path / "a5.yaml"
+    path.write_text(text.replace(row, ""))
+    code, out, _ = run(capsys, "case", str(path))
+    assert (out.count("[FEASIBLE]"), out.count("[infeasible]")) == (3, 6)
+    assert "verified: False" in out
+    assert code == 1
+
+
 def test_case_unknown_profile_is_usage_error(capsys):
     code, _, err = run(capsys, "case", "Z9")
     assert code == 2

@@ -116,6 +116,32 @@ def test_elimination_fails_with_artificial_fixed_line():
     assert result.elimination == "invariant union of lines ['L3'] has degree 1 <= 2"
 
 
+def test_line_orbit_of_two_does_not_certify():
+    # an artificial generator whose smallest line orbit is the pair L12, L34:
+    # an invariant union of two lines has degree 2 < 3, so only the bound 1 stands
+    pairs = GroupGenerator("pairs", (("L12", "L34"), ("L34", "L12"), ("L13", "L24"),
+                                     ("L24", "L13"), ("L14", "L23"), ("L23", "L14"),
+                                     ("M1", "M2"), ("M2", "M3"), ("M3", "M1")))
+    fixture = _with_group(CAYLEY, generators=(pairs,))
+    assert validate_fixture(fixture) == []
+    result = invariant_threshold(fixture)
+    assert (result.lct, result.ke, result.image_order) == (None, None, 6)
+    assert result.elimination == "invariant union of lines ['L12', 'L34'] has degree 2 <= 2"
+
+
+def test_negative_multiplicity_in_the_invariant_divisor_is_a_finding():
+    # T + sum(Lij) - 2*(M1 + M2 + M3) has degree 3, a component of
+    # multiplicity 1, and is S4-invariant; only its sign makes it no divisor
+    text = Path(str(fixture_dir() / "cayley.yaml")).read_text()
+    terms = ('[["1", T], ["1", L12], ["1", L13], ["1", L14], ["1", L23], ["1", L24], '
+             '["1", L34], ["-2", M1], ["-2", M2], ["-2", M3]]')
+    old_eq, old_div = '  - [["1", T]]\n', 'invariant_divisor: [["1", T]]'
+    assert text.count(old_eq) == text.count(old_div) == 1
+    fixture = load_fixture(text.replace(old_eq, old_eq + f"  - {terms}\n")
+                           .replace(old_div, f"invariant_divisor: {terms}"), name="cayley")
+    assert validate_fixture(fixture) == ["equivalences[3]: negative multiplicity"]
+
+
 def test_invariant_threshold_cayley():
     result = invariant_threshold(CAYLEY)
     assert result.upper == result.lct == Rat(1)

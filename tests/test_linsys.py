@@ -448,6 +448,23 @@ def test_replay_takes_plain_int_multipliers():
                                                                Row((Rat(0),), Rat(1), ">")))
 
 
+def test_replay_rejects_a_combination_with_one_coefficient_left():
+    # multiplier 1 on x >= 1 combines to 1*x + 0*y >= 1: not every
+    # coefficient is nonzero, yet the combination still holds x
+    system = sys_of(("x", "y"), "x >= 1", "-x - y >= 0")
+    derived = Row((Rat(0), Rat(0)), Rat(1), ">=")
+    assert not replay_certificate(system, InfeasibilityCertificate((Rat(1), Rat(0)), derived))
+
+
+def test_replay_rejects_a_derived_row_with_one_coefficient_left():
+    # the combination is 0 >= 1, but the derived row claims 1*x + 0*y >= 1
+    system = sys_of(("x", "y"), "x >= 1", "-x >= 0")
+    combined = Row((Rat(0), Rat(0)), Rat(1), ">=")
+    assert replay_certificate(system, InfeasibilityCertificate((Rat(1), Rat(1)), combined))
+    derived = Row((Rat(1), Rat(0)), Rat(1), ">=")
+    assert not replay_certificate(system, InfeasibilityCertificate((Rat(1), Rat(1)), derived))
+
+
 def test_row_primitive_is_computed_once_per_row():
     row = parse_row("x/6 - 2*y/3 >= 5/4", ("x", "y"))
     assert row.primitive == ((2, -8), 15, 12, 1)
