@@ -292,8 +292,8 @@ def test_audit_reuses_known_certificate_supports(monkeypatch):
     # a deletion is re-solved only when every certificate known for the leaf
     # (its first solve's, and each infeasible re-solve's) uses the row and no
     # kept witness decides it; that the records still equal a brute-force
-    # re-solve is checked above.  Supports alone left 378 solves; witness
-    # reuse takes that to 314 (125 first solves and 189 re-solves).
+    # re-solve is checked above.  314 solves: 125 first solves and 189
+    # re-solves.
     _, feasible = _counted_audits(monkeypatch)
     assert len(feasible) == 314
 
