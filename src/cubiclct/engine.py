@@ -9,14 +9,16 @@ exceptional divisors.
 Lower bounds are linear: each case script turns the geometric case
 analysis into systems of strict and non-strict inequalities over the
 rationals, with the threshold reciprocal modeled as a variable ``tau``
-bounded below by its closure value.  A script is base rows plus blocks,
-and each block gives one leaf per alternative and branch; the branches of
-a ``generate`` block are the A_n adjunction case tree that ``model``
-expanded when it loaded the fixture.  A script verifies when every leaf
+bounded below by its closure value ``1/omega``, where omega is the value
+of the profile's classification clause in ``_CLAUSES``, the one statement
+of the table.  A script is base rows plus blocks, and each block gives one
+leaf per alternative and branch; the branches of a ``generate`` block are
+the A_n adjunction case tree that ``model`` expanded when it loaded the
+fixture.  A case verifies when its witness attains omega and every leaf
 system is infeasible, each with a replayable Farkas certificate that gives
-the closure row ``tau >= 1/omega`` positive weight.  The
-non-linear localization steps (connectedness, degree bounds, convexity
-choices) are recorded as tagged assumptions; where their arithmetic core
+the closure row ``tau >= 1/omega`` positive weight.  The non-linear
+localization steps (connectedness, degree bounds, convexity choices) are
+recorded as tagged assumptions; where their arithmetic core
 is linear it is checked as a small exclusion system, under the same rule:
 the closure row is row 0 of every system.
 """
@@ -33,10 +35,6 @@ from cubiclct.linsys import (Infeasible, InfeasibilityCertificate, LinearSystem,
 from cubiclct.model import (Branch, CaseFixture, ProofScript, ScriptRow,
                             SingularityProfile, SurfaceModel, Witness)
 from cubiclct.qexact import format_rat
-
-
-class Inconsistent(ValueError):
-    """A verified case disagrees with the classification clause."""
 
 
 # --- witness upper bounds ------------------------------------------------------
@@ -113,11 +111,13 @@ class LowerBoundResult(NamedTuple):
     assumptions: tuple[AssumptionResult, ...]
 
 
-def _tau_row(script: ProofScript) -> ScriptRow:
-    """The closure row ``tau >= 1/omega``: row 0 of every lower-bound system."""
-    text = f"tau >= {format_rat(script.tau_floor)}"
-    coeffs = tuple(Rat(1) if v == "tau" else Rat(0) for v in script.variables)
-    return ScriptRow(text, Row(coeffs, script.tau_floor, ">=", "closure tau >= 1/omega"),
+def _tau_row(fixture: CaseFixture) -> ScriptRow:
+    """The closure row ``tau >= 1/omega``, omega the value of the profile's
+    classification clause: row 0 of every lower-bound system."""
+    floor = 1 / classify_profile(fixture.model.profile)[1]
+    coeffs = tuple(Rat(1) if v == "tau" else Rat(0) for v in fixture.script.variables)
+    return ScriptRow(f"tau >= {format_rat(floor)}",
+                     Row(coeffs, floor, ">=", "closure tau >= 1/omega"),
                      note="closure tau >= 1/omega")
 
 
@@ -127,7 +127,7 @@ def materialize_leaves(fixture: CaseFixture) -> list[Branch]:
     script = fixture.script
     if script is None:
         return []
-    tau = _tau_row(script)
+    tau = _tau_row(fixture)
     leaves: list[Branch] = []
     for block in script.blocks:
         for alt in block.alternatives or (Branch("", ()),):
@@ -164,7 +164,7 @@ def verify_lower_bound_script(fixture: CaseFixture) -> LowerBoundResult:
     """
     script = fixture.script
     leaves = tuple(_solve(script, leaf.name, leaf.rows) for leaf in materialize_leaves(fixture))
-    tau = _tau_row(script)
+    tau = _tau_row(fixture)
     assumptions = tuple(
         AssumptionResult(a.tag, a.note, _holds(_solve(script, a.tag, (tau,) + a.exclusion_rows))
                          if a.exclusion_rows else None)
@@ -181,14 +181,17 @@ class CaseResult(NamedTuple):
     omega_upper: Rat
     upper: UpperBound
     lower: LowerBoundResult
-    expected_omega: Rat
+    expected_omega: Rat     # the value of the profile's classification clause
     verified: bool
 
 
 def compute_case_threshold(fixture: CaseFixture) -> CaseResult:
+    """Verified when the witness attains the omega of the profile's
+    classification clause and the script verifies with the closure row
+    ``tau >= 1/omega``."""
     upper = witness_lct_upper(fixture.model, fixture.witness)
     lower = verify_lower_bound_script(fixture)
-    expected = fixture.expected_omega
+    expected = classify_profile(fixture.model.profile)[1]
     verified = (upper.value == expected) and lower.verified
     return CaseResult(fixture.model.profile, upper.value, upper, lower, expected, verified)
 
@@ -230,43 +233,26 @@ class ThresholdTable(NamedTuple):
         return all(r.status != "FAILED" for r in self.rows)
 
 
-def check_clause(result: CaseResult) -> tuple[str, Rat]:
-    """The classification clause of ``result``'s profile; ``Inconsistent`` if
-    the case is verified with another omega."""
-    clause, omega = classify_profile(result.profile)
-    if result.verified and result.omega_upper != omega:
-        raise Inconsistent(
-            f"{result.profile}: verified omega {format_rat(result.omega_upper)} "
-            f"differs from clause value {format_rat(omega)}")
-    return clause, omega
-
-
 def assemble_table(results: dict[str, CaseResult],
                    admissible: list[str]) -> ThresholdTable:
-    """Classification table with per-row verification status.
-
-    Raises ``Inconsistent`` if a verified case disagrees with its clause.
-    """
+    """Classification table: each row's clause and omega from ``classify_profile``,
+    its status from the case result of its profile, if there is one."""
     rows = []
     for key in admissible:
-        if key in results:
-            result = results[key]
-            clause, omega = check_clause(result)
-            status = "verified" if result.verified else "FAILED"
-        else:
-            clause, omega = classify_profile(SingularityProfile.of(key.split("+")))
-            status = "paper-asserted"
+        clause, omega = classify_profile(SingularityProfile.of(key.split("+")))
+        result = results.get(key)
+        status = ("paper-asserted" if result is None else
+                  "verified" if result.verified else "FAILED")
         rows.append(TableRow(key, omega, clause, status))
     return ThresholdTable(TABLE_CLAUSES, tuple(rows))
 
 
-def ke_criterion(lct_value: Rat, dimension: int) -> str:
-    """Sufficient numeric criterion for a Kaehler-Einstein metric."""
+def ke_criterion(lct_value: Rat) -> str:
+    """Tian's criterion on a surface: an alpha-invariant above 2/3 gives a
+    Kaehler-Einstein metric (Tian, Invent. Math. 89, 1987)."""
     if lct_value <= 0:
         raise ValueError("lct value must be positive")
-    if dimension < 1:
-        raise ValueError("dimension must be positive")
-    return "KECertified" if lct_value > Rat(dimension, dimension + 1) else "Inconclusive"
+    return "KECertified" if lct_value > Rat(2, 3) else "Inconclusive"
 
 
 # --- mutation audit ---------------------------------------------------------------
@@ -327,7 +313,7 @@ def mutation_audit(fixture: CaseFixture) -> list[MutationRecord]:
     with supports alone.
     """
     script = fixture.script
-    tau = _tau_row(script)
+    tau = _tau_row(fixture)
     exclusions = [Branch(a.tag, (tau,) + a.exclusion_rows)
                   for a in script.assumptions if a.exclusion_rows]
     audited = []   # (leaf, ids of its rows, supports of its known certificates)

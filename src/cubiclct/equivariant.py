@@ -60,4 +60,4 @@ def invariant_threshold(fixture: CaseFixture) -> InvariantResult:
         group.name, len(image), upper, upper,
         "no invariant curve of degree < 3: line orbits have size >= "
         f"{len(smallest)}, and no fixed line exists to pair with an invariant conic",
-        ke_criterion(upper, 2), assumptions)
+        ke_criterion(upper), assumptions)

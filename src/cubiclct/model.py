@@ -151,11 +151,10 @@ class Block(NamedTuple):
 class Assumption(NamedTuple):
     tag: str
     note: str
-    exclusion_rows: tuple[ScriptRow, ...] = ()
+    exclusion_rows: tuple[ScriptRow, ...] = ()   # always () for a group's assumptions
 
 
 class ProofScript(NamedTuple):
-    tau_floor: Rat
     variables: tuple[str, ...]
     base_rows: tuple[ScriptRow, ...]
     blocks: tuple[Block, ...]
@@ -189,7 +188,6 @@ class FiberwiseData(NamedTuple):
 class CaseFixture(NamedTuple):
     name: str
     model: SurfaceModel
-    expected_omega: Rat | None
     witness: Witness | None
     script: ProofScript | None
     group: GroupData | None = None
@@ -361,13 +359,6 @@ def _branches(items, variables, ctx) -> tuple[Branch, ...]:
                  for i, b in enumerate(items))
 
 
-def _assumptions(items, variables, ctx) -> tuple[Assumption, ...]:
-    return tuple(Assumption(a["tag"], a.get("note", ""),
-                            _script_rows(a.get("exclusion_rows", ()), variables,
-                                         f"{ctx}[{i}].exclusion_rows"))
-                 for i, a in enumerate(items))
-
-
 def _declared(ids, value, what: str, where: str):
     """``value`` when ``ids`` holds it, else a ParseError at ``where``."""
     if value not in ids:
@@ -461,12 +452,16 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
         if not blocks:   # a script without leaves would verify vacuously
             raise ParseError("script: needs at least one block")
         _unique((b.name for b in blocks), "script.blocks", "name")
-        if "tau" not in variables:   # the closure row would read 0 >= tau_floor
+        if "tau" not in variables:   # the closure row would read 0 >= 1/omega
             raise ParseError("script.variables: lack tau, the threshold reciprocal")
+        assumptions = tuple(
+            Assumption(a["tag"], a.get("note", ""),
+                       _script_rows(a.get("exclusion_rows", ()), variables,
+                                    f"script.assumptions[{i}].exclusion_rows"))
+            for i, a in enumerate(sspec.get("assumptions", ())))
         script = ProofScript(
-            sspec["tau_floor"], variables,
-            _script_rows(sspec.get("base_rows", ()), variables, "script.base_rows"), blocks,
-            _assumptions(sspec.get("assumptions", ()), variables, "script.assumptions"))
+            variables, _script_rows(sspec.get("base_rows", ()), variables, "script.base_rows"),
+            blocks, assumptions)
 
     group = None
     if "group" in doc:
@@ -479,7 +474,8 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
                           tuple(GroupGenerator(gen["name"], tuple(gen["lines"].items()))
                                 for gen in gspec["generators"]),
                           curve_terms(gspec["invariant_divisor"], "group.invariant_divisor"),
-                          _assumptions(gspec.get("assumptions", ()), (), "group.assumptions"))
+                          tuple(Assumption(a["tag"], a.get("note", ""))
+                                for a in gspec.get("assumptions", ())))
 
     fspec = doc.get("fiberwise")
     fiberwise = None if fspec is None else FiberwiseData(
@@ -490,8 +486,7 @@ def _build_fixture(doc: dict, name: str) -> CaseFixture:
 
     profile = SingularityProfile.of([ade.label for ade in doc["profile"]])
     model = SurfaceModel(profile, tuple(points.items()), curves, equivalences)
-    return CaseFixture(doc.get("name", name), model, doc.get("expected_omega"), witness,
-                       script, group, fiberwise)
+    return CaseFixture(doc.get("name", name), model, witness, script, group, fiberwise)
 
 
 # --- validation ---------------------------------------------------------------
@@ -649,11 +644,7 @@ def validate_fixture(fixture: CaseFixture) -> list[str]:
                         for i, x in enumerate(fiberwise.lct_pair) if x <= 0)
 
     script = fixture.script
-    if script is not None:   # the loader gives a script an expected_omega
-        if script.tau_floor * fixture.expected_omega != 1:
-            findings.append(
-                f"script: tau_floor {format_rat(script.tau_floor)} is not the "
-                f"reciprocal of expected_omega {format_rat(fixture.expected_omega)}")
+    if script is not None:
         base = {(r.row.integer_ratios, r.row.relation) for r in script.base_rows}
         for point in dict.fromkeys(b.generate for b in script.blocks if b.generate):
             for j, form in enumerate(exceptional_nef_rows(model.ade(point))):

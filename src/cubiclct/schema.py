@@ -131,12 +131,10 @@ POLY = ListOf(Pair(rational, ListOf(integer, 5)))
 #: Script rows: inequality texts, or texts with a note and a redundancy flag.
 ROWS = ListOf(OneOf(string, Record({"row": string, "note?": string, "redundant?": boolean})))
 BRANCHES = ListOf(Record({"name": string, "rows?": ROWS}))
-ASSUMPTIONS = ListOf(Record({"tag": string, "note?": string, "exclusion_rows?": ROWS}))
 
 FIXTURE = Record({
     "name?": string,
     "profile": ListOf(ADE),
-    "expected_omega?": rational,
     "points?": IdMap(Record({"type": ADE})),
     "curves?": ListOf(Record({
         "id": string, "kind": enum("line", "conic", "cubic"),
@@ -150,19 +148,19 @@ FIXTURE = Record({
             "through": ListOf(OneOf(Record({"curve": string, "mult?": integer}),
                                     Record({"exceptional": string})))}))}),
     "script?": Record({
-        "tau_floor": rational,
         "variables": ListOf(string),
         "base_rows?": ROWS,
         # one of ``branches`` and ``generate: <point>``, which the loader checks
         "blocks?": ListOf(Record({"name?": string, "rows?": ROWS, "alternatives?": BRANCHES,
                                   "branches?": BRANCHES, "generate?": string})),
-        "assumptions?": ASSUMPTIONS}),
+        "assumptions?": ListOf(Record({"tag": string, "note?": string,
+                                       "exclusion_rows?": ROWS}))}),
     "group?": Record({
         "name": string,
         "declared_order": integer,
         "generators": ListOf(Record({"name": string, "lines": IdMap(string)})),
         "invariant_divisor": TERMS,
-        "assumptions?": ASSUMPTIONS}),
+        "assumptions?": ListOf(Record({"tag": string, "note?": string}))}),
     "fiberwise?": Record({
         "source_poly?": POLY, "target_poly?": POLY,
         "map?": Record({"x?": integer, "y?": integer, "z?": integer, "w?": integer}),
@@ -173,7 +171,7 @@ FIXTURE = Record({
         "fiber_profiles": ListOf(string, 2),
     }, needs={"source_poly": ("target_poly", "map"), "target_poly": ("source_poly", "map"),
               "map": ("source_poly", "target_poly")}),
-}, needs={"script": ("witness", "expected_omega")})
+}, needs={"script": ("witness",)})
 
 RELATION = enum(">=", ">")
 SYSTEM = Record({

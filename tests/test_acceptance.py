@@ -187,7 +187,7 @@ def test_criterion_6_invariant_thresholds():
         result = invariant_threshold(FIXTURES[name])
         assert result.lct == Rat(1), name
         assert result.ke == "KECertified", name
-    assert ke_criterion(Rat(1), 2) == "KECertified"
+    assert ke_criterion(Rat(1)) == "KECertified"
     _report(6, "both equivariant fixtures certify lct = 1 and the KE criterion")
 
 

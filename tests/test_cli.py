@@ -92,9 +92,10 @@ def test_malformed_curve_field_is_located_parse_error(capsys, tmp_path, field, m
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ('expected_omega: "1/2"', 'expected_omega: "1/x"',
-     "error: a3: expected_omega: not a rational literal: '1/x'"),
-    ('tau_floor: "2"', 'tau_floor: "2/0"', "error: a3: script.tau_floor: zero denominator in '2/0'"),
+    ('divisor: [["1", L1]', 'divisor: [["1/x", L1]',
+     "error: a3: witness.divisor[0][0]: not a rational literal: '1/x'"),
+    ('- [["1", L1]', '- [["1/0", L1]',
+     "error: a3: equivalences[0][0][0]: zero denominator in '1/0'"),
     ("profile: [A3]", "profile: [Q3]", "error: a3: profile[0]: bad ADE label 'Q3'"),
     ("profile: [A3]", "profile: [3]", "error: a3: profile[0]: bad ADE label 3"),
     ("{type: A3}", "{type: 3}", "error: a3: points.O.type: bad ADE label 3"),
@@ -105,7 +106,7 @@ def test_malformed_curve_field_is_located_parse_error(capsys, tmp_path, field, m
     ("name: a3", "name: !!int x3",
      "error: a3: invalid YAML: cannot construct tag:yaml.org,2002:int 'x3'"),
     ("- generate: O", "- generate: Q", "error: a3: script.blocks[0].generate: unknown point 'Q'"),
-    ('tau_floor: "2"', 'mode: generated\n  tau_floor: "2"', "error: a3: script: unknown key 'mode'"),
+    ("variables: [a1", "mode: generated\n  variables: [a1", "error: a3: script: unknown key 'mode'"),
     ('"2*a1 - a2 >= 0"', '"2*a1 - a2/0 >= 0"',
      "error: a3: script.base_rows[1]: zero denominator in 'a2/0'"),
 ])
@@ -179,13 +180,17 @@ def test_list_field_of_wrong_shape_is_located_parse_error(capsys, tmp_path, name
     assert (code, out, err) == (2, "", f"error: {name}: {message}\n")
 
 
-@pytest.mark.parametrize("path, message", [
-    (("group", "image_order"), "group: unknown key 'image_order'"),
-    (("group", "elimination"), "group: unknown key 'elimination'"),
-    (("group", "generators", 0, "points"), "group.generators[0]: unknown key 'points'"),
-], ids=["group", "dropped group field", "generator"])
-def test_unknown_group_key_is_located_parse_error(capsys, tmp_path, path, message):
-    _fixture_with(tmp_path, "cayley", path, {"O1": "O2"})
+@pytest.mark.parametrize("path, value, message", [
+    (("group", "image_order"), {"O1": "O2"}, "group: unknown key 'image_order'"),
+    (("group", "elimination"), {"O1": "O2"}, "group: unknown key 'elimination'"),
+    (("group", "generators", 0, "points"), {"O1": "O2"},
+     "group.generators[0]: unknown key 'points'"),
+    # a feasible exclusion system, which nothing would check under a group
+    (("group", "assumptions", 0, "exclusion_rows"), ["0 >= 0"],
+     "group.assumptions[0]: unknown key 'exclusion_rows'"),
+], ids=["group", "dropped group field", "generator", "assumption exclusion rows"])
+def test_unknown_group_key_is_located_parse_error(capsys, tmp_path, path, value, message):
+    _fixture_with(tmp_path, "cayley", path, value)
     code, out, err = run(capsys, "--fixtures", str(tmp_path), "equivariant", "cayley")
     assert (code, out, err) == (2, "", f"error: cayley: {message}\n")
 
@@ -270,7 +275,7 @@ def test_profile_token_loads_only_the_files_that_declare_it(capsys, monkeypatch,
                          ids=["case", "equivariant", "profile"])
 def test_fixture_name_ignores_a_malformed_neighbour(capsys, tmp_path, name, argv):
     _fixture_copy(tmp_path, name)
-    _fixture_copy(tmp_path, "a3", 'expected_omega: "1/2"', 'expected_omega: "1/x"')
+    _fixture_copy(tmp_path, "a3", "profile: [A3]", "profile: [Q3]")
     code, out, err = run(capsys, "--fixtures", str(tmp_path), *argv)
     assert code == 0
     assert out and err == ""
@@ -432,21 +437,27 @@ def _patch_a5_clause(monkeypatch):
 
 
 def test_inconsistent_table_exits_one(capsys, monkeypatch):
-    # A5 verifies omega 1/4; the patched clause gives 1/3
+    # A5's witness attains omega 1/4; the patched clause gives 1/3
     _patch_a5_clause(monkeypatch)
     code, out, err = run(capsys, "table")
-    assert code == 1
-    assert out == ""
-    assert "A5: verified omega 1/4 differs from clause value 1/3" in err
+    assert (code, err) == (1, "")
+    rows = [" ".join(line.split()) for line in out.splitlines()]
+    assert "A5 omega = 1/3 [FAILED]" in rows
+    assert "A5+A1 omega = 1/4 [verified]" in rows
 
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
 def test_case_runs_the_clause_check(capsys, monkeypatch, json_flag):
     _patch_a5_clause(monkeypatch)
     code, out, err = run(capsys, "case", "A5", *json_flag)
-    assert (code, out) == (1, "")
-    assert err.splitlines() == [
-        "verification failed: A5: verified omega 1/4 differs from clause value 1/3"]
+    assert (code, err) == (1, "")
+    if json_flag:
+        data = json.loads(out)
+        assert (data["omega"], data["expected_omega"], data["verified"]) == ("1/4", "1/3", False)
+    else:
+        lines = out.splitlines()
+        assert (lines[0], lines[-1]) == ("profile A5: omega = 1/4 (expected 1/3)",
+                                         "  verified: False")
 
 
 @pytest.mark.parametrize("name, old, new, command", [
@@ -821,10 +832,7 @@ def test_malformed_system_file_or_pullback_argument_is_input_error(capsys, tmp_p
 
 
 @pytest.mark.parametrize("name, old, new, argv, message", [
-    ("a1", "\nwitness:\n", "\nwitnes:\n", ["table"],
-     "a1: script needs witness and expected_omega"),
-    ("a3a1", "expected_omega:", "expected_omgea:", ["case", "A3+A1"],
-     "a3a1: script needs witness and expected_omega"),
+    ("a1", "\nwitness:\n", "\nwitnes:\n", ["table"], "a1: script needs witness"),
     ("a5", '  divisor: [["3", L3]]\n', '  divisor: [["3", L3]]\n  tangencie: [L3]\n',
      ["case", "a5"], "a5: witness: unknown key 'tangencie'"),
     ("a3", "{id: L2, kind: line,", "{id: L2, kind: line, degre: 1,", ["case", "a3"],
@@ -836,8 +844,7 @@ def test_malformed_system_file_or_pullback_argument_is_input_error(capsys, tmp_p
     # the chain-reversal marker is gone: every fixture gives canonical node order
     ("a3", "O: {type: A3", "O: {type: A3, orientation: standard", ["case", "a3"],
      "a3: points.O: unknown key 'orientation'"),
-], ids=["witnes", "expected_omgea", "tangencie", "degre", "redundnat", "point key",
-        "orientation"])
+], ids=["witnes", "tangencie", "degre", "redundnat", "point key", "orientation"])
 def test_misspelt_or_dropped_key_is_located_parse_error(capsys, tmp_path, name, old, new, argv,
                                                         message):
     # each of these once loaded: a verified row read as paper-asserted, a
@@ -845,6 +852,18 @@ def test_misspelt_or_dropped_key_is_located_parse_error(capsys, tmp_path, name, 
     _fixture_copy(tmp_path, name, old, new)
     code, out, err = run(capsys, "--fixtures", str(tmp_path), *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("profile: [A3]\n", 'profile: [A3]\nexpected_omega: "1/2"\n', "unknown key 'expected_omega'"),
+    ("  variables:", '  tau_floor: "2"\n  variables:', "script: unknown key 'tau_floor'"),
+], ids=["expected_omega", "tau_floor"])
+def test_threshold_restated_in_a_case_fixture_is_unknown_key(capsys, tmp_path, old, new,
+                                                            message):
+    # the profile's classification clause gives omega and the closure tau >= 1/omega
+    _fixture_copy(tmp_path, "a3", old, new)
+    code, out, err = run(capsys, "--fixtures", str(tmp_path), "case", "a3")
+    assert (code, out, err) == (2, "", f"error: a3: {message}\n")
 
 
 def _declared_mappings(kind):

@@ -103,18 +103,18 @@ def test_malformed_yaml_is_located_under_each_loader(monkeypatch, loader):
         load_fixture(text.replace(old, old[:-1]), name="a3")
     message = str(info.value)
     assert message.startswith("a3: invalid YAML: ")
-    assert "line 13, column 5" in message   # the flow mapping left open
-    assert "line 14, column 3" in message   # where a ',' or '}' was expected
+    assert "line 12, column 5" in message   # the flow mapping left open
+    assert "line 13, column 3" in message   # where a ',' or '}' was expected
 
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
 @pytest.mark.parametrize("old, new, where", [
     ("profile: [A3]", "profile: [A3]\nprofile: [A2]", "line 7, column 1"),
     ("{id: L5, kind: line, incidence: {O: [0, 0, 1]}}",
-     "{id: L5, kind: line, incidence: {O: [0, 0, 1], O: [1, 0, 0]}}", "line 15, column 52"),
+     "{id: L5, kind: line, incidence: {O: [0, 0, 1], O: [1, 0, 0]}}", "line 14, column 52"),
     ("{id: L5, kind: line, incidence: {O: [0, 0, 1]}}",
      "{<<: {kind: conic}, id: L5, kind: line, incidence: {O: [0, 0, 1]}, id: L6}",
-     "line 15, column 72"),
+     "line 14, column 72"),
 ], ids=["profile", "incidence", "after a merge"])
 def test_repeated_key_is_located_parse_error(monkeypatch, loader, old, new, where):
     monkeypatch.setattr(model, "YAML_LOADER", loader)
@@ -252,13 +252,6 @@ def test_intersection_numbers_match_hand_values():
     assert intersection_number(model, c3, c3, cache) == Rat(4, 3)
 
 
-def test_tau_floor_must_be_reciprocal_of_omega():
-    doc = Path(str(fixture_dir() / "a2.yaml")).read_text().replace(
-        'tau_floor: "2"', 'tau_floor: "3"')
-    findings = validate_fixture(load_fixture(doc))
-    assert any("tau_floor" in f for f in findings)
-
-
 def test_generated_scripts_carry_the_nef_rows():
     # the loader cross-checks fixture nef rows against the lattice
     bad = Path(str(fixture_dir() / "a2.yaml")).read_text().replace(
@@ -285,7 +278,6 @@ def test_every_a_n_chain_split_is_generated():
 
 A3_SCRIPT = """
 profile: [A3]
-expected_omega: "1/2"
 points:
   O: {type: A3}
   P: {type: D4}
@@ -294,7 +286,6 @@ curves:
 witness:
   divisor: [["3", L1]]
 script:
-  tau_floor: "2"
   variables: [a1, a2, a3, tau]
   blocks:
     - generate: O
